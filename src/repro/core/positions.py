@@ -26,8 +26,6 @@ from __future__ import annotations
 from collections import Counter, OrderedDict, defaultdict
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.mobility.mapmatch import MatchedTrajectories
 from repro.weather.storms import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -117,16 +115,18 @@ class HistoricalFallbackFeed:
 
     def _build_habits(self, t0: float, t1: float) -> dict[int, dict[int, int]]:
         """person -> {hour_of_day: habitual landmark} over [t0, t1]."""
+        m = self.matched
+        starts = m.starts[:-1]
+        los = (starts + m.fix_counts(t0, side="left")).tolist()
+        his = (starts + m.fix_counts(t1)).tolist()
         habits: dict[int, dict[int, int]] = {}
-        for pid, (ts, nodes) in self.matched.trajectories.items():
-            lo = int(np.searchsorted(ts, t0, side="left"))
-            hi = int(np.searchsorted(ts, t1, side="right"))
+        for pid, lo, hi in zip(m.pids.tolist(), los, his):
             if hi <= lo:
                 continue
-            per_hour: dict[int, Counter] = defaultdict(Counter)
-            for t, node in zip(ts[lo:hi], nodes[lo:hi]):
+            per_hour: dict[int, Counter[int]] = defaultdict(Counter)
+            for t, node in zip(m.times[lo:hi].tolist(), m.nodes[lo:hi].tolist()):
                 hour = int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
-                per_hour[hour][int(node)] += 1
+                per_hour[hour][node] += 1
             habits[pid] = {
                 hour: counter.most_common(1)[0][0] for hour, counter in per_hour.items()
             }
@@ -149,18 +149,20 @@ class HistoricalFallbackFeed:
         cached = self._cache.get(t_seconds)
         if cached is not None:
             return cached
+        m = self.matched
+        pids, last = m.last_fixes(t_seconds)
+        stale = (t_seconds - m.times[last]) > self.staleness_s
         out: dict[int, int] = {}
-        for pid, (ts, nodes) in self.matched.trajectories.items():
-            i = int(np.searchsorted(ts, t_seconds, side="right")) - 1
-            if i < 0:
-                continue
-            if t_seconds - float(ts[i]) > self.staleness_s:
+        for pid, node, is_stale in zip(
+            pids.tolist(), m.nodes[last].tolist(), stale.tolist()
+        ):
+            if is_stale:
                 estimated = self.habitual_node(pid, t_seconds)
                 if estimated is not None:
                     out[pid] = estimated
                     self.fallback_uses += 1
                     continue
-            out[pid] = int(nodes[i])
+            out[pid] = node
         self._cache.put(t_seconds, out)
         return out
 

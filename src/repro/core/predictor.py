@@ -65,13 +65,10 @@ def build_training_set(
         raise ValueError("negatives_per_positive must be >= 1")
     rng = np.random.default_rng(seed)
     part = scenario.partition
+    clean, _ = clean_trace(bundle.trace, part.width_m, part.height_m)
     if matched is None:
-        clean, _ = clean_trace(bundle.trace, part.width_m, part.height_m)
         matched = map_match(clean, scenario.network)
-        deliveries = detect_deliveries(clean, scenario.network, scenario.hospitals)
-    else:
-        clean, _ = clean_trace(bundle.trace, part.width_m, part.height_m)
-        deliveries = detect_deliveries(clean, scenario.network, scenario.hospitals)
+    deliveries = detect_deliveries(clean, scenario.network, scenario.hospitals)
 
     weather = scenario.weather
     pos_x: list[np.ndarray] = []
@@ -149,6 +146,7 @@ class RequestPredictor:
         self._node_segment = np.array(
             [net.nearest_segment(*net.landmark(n).xy) for n in node_ids]
         )
+        self._node_points = scenario.terrain.index(self._node_xy)
 
     @property
     def is_fitted(self) -> bool:
@@ -198,16 +196,15 @@ class RequestPredictor:
             raise ValueError(
                 f"unknown landmark id {exc.args[0]!r} in position feed"
             ) from exc
-        factors = self.scenario.weather.factor_vectors(self._node_xy[idx], t_s)
-        labels = self.predict_labels(factors)
+        points = self._node_points.take(idx)
+        labels = self.predict_labels(self.scenario.weather.factors(points, t_s))
         if self.flood_gated:
             # Gate on current flood imaging OR the short-horizon forecast:
             # rivers are forecast hours ahead, and a person whose position
             # floods this afternoon is a potential rescue request now.
             flood = self.scenario.flood
-            xy = self._node_xy[idx]
-            flooded = flood.is_flooded_many(xy, t_s) | flood.is_flooded_many(
-                xy, t_s + self.flood_forecast_horizon_s
+            flooded = flood.flooded(points, t_s) | flood.flooded(
+                points, t_s + self.flood_forecast_horizon_s
             )
             labels = labels & flooded.astype(int)
         return labels

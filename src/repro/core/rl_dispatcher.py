@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.config import MobiRescueConfig
 from repro.core.predictor import RequestPredictor
-from repro.core.state import build_context
+from repro.core.state import CycleDemand, build_context
 from repro.data.charlotte import CharlotteScenario
 from repro.dispatch.base import (
     DispatchObservation,
@@ -214,11 +214,9 @@ class MobiRescueDispatcher(Dispatcher):
                 continue
             deciding.append(team)
 
-        empty_pending: dict[int, float] = {}
+        demand = CycleDemand({}, predicted, oracle, obs.closed)
         for team in deciding:
-            ctx = build_context(
-                team, empty_pending, dict(predicted), oracle, obs.closed, flood_level, cfg
-            )
+            ctx = build_context(team, demand, flood_level, cfg)
             greedy = not self.training
             action = self.agent.act(ctx.state, ctx.valid_actions, greedy=greedy)
             self._close_transition(team.team_id, team.total_pickups, ctx.state)
@@ -226,9 +224,7 @@ class MobiRescueDispatcher(Dispatcher):
             if action < len(ctx.candidate_segments):
                 seg = ctx.candidate_segments[action]
                 commands[team.team_id] = command_segment(seg)
-                predicted[seg] = max(
-                    0.0, predicted[seg] - float(max(1, team.capacity_left))
-                )
+                demand.claim(seg, float(max(1, team.capacity_left)))
                 travel = ctx.travel_times[action]
                 serving = True
             else:

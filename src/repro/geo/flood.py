@@ -18,10 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.geo.terrain import TerrainField
+from repro.geo.terrain import PointIndex, TerrainField
 
-#: ``severity_fn(region_id, t_seconds) -> float in [0, 1]``
+#: ``severity_fn(region_id, t_seconds) -> float in [0, 1]``; a pure function
+#: of its arguments (waterlines are memoized per region and time).
 SeverityFn = Callable[[int, float], float]
+
+#: Waterlines a flood model remembers; past this many (region, t) entries
+#: the oldest one is dropped.
+WATERLINE_MEMO_SIZE = 8_192
 
 
 class FloodModel:
@@ -50,6 +55,7 @@ class FloodModel:
         self.severity_fn = severity_fn
         self.max_flood_fraction = float(max_flood_fraction)
         self._region_alt_samples = self._sample_region_altitudes(grid_resolution)
+        self._waterlines: dict[tuple[int, float], float] = {}
 
     def _sample_region_altitudes(self, n: int) -> dict[int, np.ndarray]:
         part = self.partition
@@ -74,13 +80,35 @@ class FloodModel:
 
         Terrain at or below the waterline is flooded.  Severity 0 puts the
         waterline below the region's minimum altitude (nothing flooded).
+        Results are memoized per (region, t): dispatch cycles, closure
+        queries and flood forecasts ask for the same times again.
         """
+        key = (region_id, t_seconds)
+        memo = self._waterlines
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
         severity = float(np.clip(self.severity_fn(region_id, t_seconds), 0.0, 1.0))
         alts = self._region_alt_samples[region_id]
         if severity <= 0.0:
-            return float(alts[0]) - 1.0
-        frac = self.max_flood_fraction * severity
-        return float(np.quantile(alts, frac))
+            waterline = float(alts[0]) - 1.0
+        else:
+            frac = self.max_flood_fraction * severity
+            waterline = float(np.quantile(alts, frac))
+        if len(memo) >= WATERLINE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = waterline
+        return waterline
+
+    def waterlines(self, t_seconds: float) -> np.ndarray:
+        """Every region's waterline at ``t``, one per ``region_ids`` slot."""
+        return np.array(
+            [self.waterline_m(rid, t_seconds) for rid in self.partition.region_ids]
+        )
+
+    def flooded(self, points: PointIndex, t_seconds: float) -> np.ndarray:
+        """Flood mask over an indexed point set at time ``t``."""
+        return points.altitudes <= points.gather(self.waterlines(t_seconds))
 
     def is_flooded(self, x: float, y: float, t_seconds: float) -> bool:
         """Whether a plane point is inside a flood zone at time ``t``."""
@@ -89,16 +117,7 @@ class FloodModel:
 
     def is_flooded_many(self, xy: np.ndarray, t_seconds: float) -> np.ndarray:
         """Vectorized flood query for an (N, 2) array of plane points."""
-        xy = np.asarray(xy, dtype=float)
-        alts = self.terrain.altitude_many(xy)
-        regions = self.partition.region_of_many(xy)
-        # One waterline per region, then broadcast — the quantile lookup is
-        # the expensive part.
-        per_region = {
-            rid: self.waterline_m(rid, t_seconds) for rid in self.partition.region_ids
-        }
-        waterlines = np.array([per_region[int(r)] for r in regions])
-        return alts <= waterlines
+        return self.flooded(self.terrain.index(xy), t_seconds)
 
     def flooded_fraction(self, region_id: int, t_seconds: float) -> float:
         """Share of a region's terrain currently underwater, in [0, 1]."""

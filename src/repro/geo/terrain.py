@@ -13,9 +13,34 @@ variation — which is what makes partial flooding of a region possible.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.geo.regions import RegionPartition
+
+
+@dataclass(frozen=True)
+class PointIndex:
+    """Static geometry of a fixed point set.
+
+    ``altitudes`` holds each point's altitude and ``slots`` the index of
+    its region in ``partition.region_ids``.  Neither depends on time, so a
+    caller that queries the same points again and again builds the index
+    once; a time-varying per-region quantity (one value per slot) then
+    reaches every point through :meth:`gather`.
+    """
+
+    altitudes: np.ndarray
+    slots: np.ndarray
+
+    def gather(self, per_region: np.ndarray) -> np.ndarray:
+        """Broadcast one value per region slot to the points."""
+        return per_region[self.slots]
+
+    def take(self, idx: np.ndarray) -> "PointIndex":
+        """The index restricted to the points at positions ``idx``."""
+        return PointIndex(self.altitudes[idx], self.slots[idx])
 
 
 class TerrainField:
@@ -42,6 +67,10 @@ class TerrainField:
     def altitude(self, x: float, y: float) -> float:
         """Altitude at a single plane point, meters."""
         return float(self.altitude_many(np.array([[x, y]]))[0])
+
+    def index(self, xy: np.ndarray) -> PointIndex:
+        """Altitude and region slot of an (N, 2) array of plane points."""
+        return PointIndex(self.altitude_many(xy), self.partition.slot_of_many(xy))
 
     def altitude_many(self, xy: np.ndarray) -> np.ndarray:
         """Vectorized altitude for an (N, 2) array of plane points."""

@@ -10,7 +10,8 @@ rates of Section III.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -26,13 +27,62 @@ class MatchedTrajectories:
 
     ``trajectories`` maps person_id -> (times, node_ids) arrays, both
     time-ordered, with consecutive duplicate nodes collapsed.
+
+    The same fixes are also held as flat arrays, built once: ``pids`` (the
+    persons in dict order), ``starts`` (each person's offset into the flat
+    arrays, plus a final end offset), ``times`` and ``nodes``.  Position
+    queries run on these, one vectorised lookup for the whole population.
     """
 
     trajectories: dict[int, tuple[np.ndarray, np.ndarray]]
     dropped_far_fixes: int
+    pids: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _clock: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        parts = list(self.trajectories.values())
+        lengths = np.array([len(ts) for ts, _ in parts], dtype=np.int64)
+        self.pids = np.fromiter(self.trajectories, dtype=np.int64, count=len(parts))
+        self.starts = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        if parts:
+            self.times = np.concatenate([ts for ts, _ in parts])
+            self.nodes = np.concatenate([nodes for _, nodes in parts])
+        else:
+            self.times = np.zeros(0, dtype=np.float64)
+            self.nodes = np.zeros(0, dtype=np.int64)
+        # Every fix time replaced by its rank among the distinct times, and
+        # persons laid out one ``stride`` apart: the keys are then sorted
+        # across the whole population, so one integer ``searchsorted``
+        # answers every person's "how many fixes by t" exactly.
+        self._clock = np.unique(self.times)
+        stride = len(self._clock) + 1
+        owner = np.repeat(np.arange(len(parts), dtype=np.int64), lengths)
+        self._keys = owner * stride + np.searchsorted(self._clock, self.times)
 
     def persons(self) -> list[int]:
         return sorted(self.trajectories)
+
+    def fix_counts(
+        self, t_seconds: float, side: Literal["left", "right"] = "right"
+    ) -> np.ndarray:
+        """Per person (in ``pids`` order), how many fixes lie at or before
+        ``t`` (``side="right"``) or strictly before it (``side="left"``) --
+        each person's own ``np.searchsorted(times, t, side)``."""
+        rank = np.searchsorted(self._clock, t_seconds, side=side)
+        stride = len(self._clock) + 1
+        bounds = np.arange(len(self.pids), dtype=np.int64) * stride + rank
+        return np.searchsorted(self._keys, bounds, side="left") - self.starts[:-1]
+
+    def last_fixes(self, t_seconds: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(pids, flat indices)`` of every person's last fix at or before
+        ``t``, in dict order; persons with no fix yet are left out."""
+        counts = self.fix_counts(t_seconds)
+        seen = counts > 0
+        return self.pids[seen], (self.starts[:-1] + counts - 1)[seen]
 
     def nodes_at_time(self, t_seconds: float) -> dict[int, int]:
         """Last-known landmark of every person at time ``t``.
@@ -40,12 +90,8 @@ class MatchedTrajectories:
         People whose first fix is later than ``t`` are absent from the
         result — the dispatch center cannot see them yet.
         """
-        out: dict[int, int] = {}
-        for pid, (ts, nodes) in self.trajectories.items():
-            i = int(np.searchsorted(ts, t_seconds, side="right")) - 1
-            if i >= 0:
-                out[pid] = int(nodes[i])
-        return out
+        pids, last = self.last_fixes(t_seconds)
+        return dict(zip(pids.tolist(), self.nodes[last].tolist()))
 
 
 def map_match(

@@ -57,6 +57,21 @@ class TravelTimeOracle:
         idx = np.array([self._seg_index[s] for s in segment_ids])
         return self._times[self._index[src], self._seg_u[idx]] + self._seg_time[idx]
 
+    def segment_ends(self, segment_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix columns of the segments' start nodes and the segments'
+        own traversal times: the per-segment half of
+        :meth:`node_to_segments_s`, for callers that query the same
+        segments from many landmarks."""
+        idx = np.array([self._seg_index[s] for s in segment_ids], dtype=np.int64)
+        return self._seg_u[idx], self._seg_time[idx]
+
+    def node_to_ends_s(
+        self, src: int, start_cols: np.ndarray, seg_times: np.ndarray
+    ) -> np.ndarray:
+        """Free-flow times from a landmark to segment ends given by
+        :meth:`segment_ends` (or any subset of its arrays)."""
+        return self._times[self._index[src], start_cols] + seg_times
+
 
 _ORACLE_CACHE: dict[int, TravelTimeOracle] = {}
 

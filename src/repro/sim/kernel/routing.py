@@ -21,7 +21,8 @@ changing a single answer:
   memberships never change; only the per-region waterline moves.  The
   index calls the same ``waterline_m`` (same ``np.quantile``) the seed
   calls and compares against the precomputed altitudes, producing the
-  identical frozenset.
+  identical frozenset -- the very same object while the flood stands
+  still.
 
 * :class:`PrefilteredRouter` — the PR 4 :class:`RoutingCache` with the
   closed-set membership test hoisted out of the Dijkstra inner loop:
@@ -37,6 +38,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.geo.flood import FloodModel
 from repro.perf.routing_cache import RoutingCache, Tree
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.routing import Route, route_from_segments, route_from_tree
@@ -176,36 +178,34 @@ class HospitalFieldCache:
 class FloodClosureIndex:
     """Vectorized ``network.closed_segments(flood, t)`` over static geometry.
 
-    ``flood`` is any object with the :class:`repro.geo.flood.FloodModel`
-    surface (``terrain``, ``partition``, ``waterline_m``).
+    Midpoint altitudes and region slots are indexed once; each query asks
+    the flood model for the flood mask over that index.  While the mask
+    stays the same, the same frozenset object is returned, so caches keyed
+    on the closed set (or on its identity) survive from one query to the
+    next.
     """
 
-    def __init__(self, network: RoadNetwork, flood: object) -> None:
+    def __init__(self, network: RoadNetwork, flood: FloodModel) -> None:
         self.flood = flood
         seg_ids = sorted(network.segment_ids())
         mids = np.array([network.segment_midpoint(s) for s in seg_ids])
         self._seg_ids = np.array(seg_ids)
-        # Static per-midpoint geometry: the seed recomputes these on every
-        # flood query; they depend only on the frozen network.
-        self._alts = flood.terrain.altitude_many(mids)  # type: ignore[attr-defined]
-        regions = flood.partition.region_of_many(mids)  # type: ignore[attr-defined]
-        self._region_ids = [int(r) for r in flood.partition.region_ids]  # type: ignore[attr-defined]
-        slot_of = {rid: i for i, rid in enumerate(self._region_ids)}
-        self._region_slot = np.array([slot_of[int(r)] for r in regions], dtype=np.int64)
-        self._waterlines = np.empty(len(self._region_ids), dtype=np.float64)
+        self._points = flood.terrain.index(mids)
+        self._mask: np.ndarray | None = None
+        self._closed: frozenset[int] = frozenset()
 
     def closed_at(self, t_s: float) -> frozenset[int]:
         """Flood-closed segment ids at ``t`` — same frozenset as the seed.
 
-        Calls the seed's own ``waterline_m`` per region (identical
-        ``np.quantile`` floats) and broadcasts over precomputed altitudes;
-        ``alts <= waterline`` is the seed comparison elementwise.
+        The mask is ``FloodModel.flooded`` over the indexed midpoints: the
+        comparison the seed's ``network.closed_segments`` makes through
+        ``is_flooded_many``.
         """
-        wl = self._waterlines
-        for slot, rid in enumerate(self._region_ids):
-            wl[slot] = self.flood.waterline_m(rid, t_s)  # type: ignore[attr-defined]
-        flooded = self._alts <= wl[self._region_slot]
-        return frozenset(int(i) for i in self._seg_ids[flooded])
+        flooded = self.flood.flooded(self._points, t_s)
+        if self._mask is None or not np.array_equal(flooded, self._mask):
+            self._mask = flooded
+            self._closed = frozenset(self._seg_ids[flooded].tolist())
+        return self._closed
 
 
 class PrefilteredRouter(RoutingCache):

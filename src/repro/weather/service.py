@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geo.flood import FloodModel
-from repro.geo.terrain import TerrainField
+from repro.geo.terrain import PointIndex, TerrainField
 from repro.weather.fields import RegionWeatherField
 
 
@@ -44,16 +44,18 @@ class WeatherService:
             ]
         )
 
+    def factors(self, points: PointIndex, t_seconds: float) -> np.ndarray:
+        """Factor vectors of an indexed point set: each region's weather is
+        evaluated once and gathered to its points."""
+        rids = self.partition.region_ids
+        field = self.field
+        precip = np.array([field.factor_precipitation_mm_per_h(r, t_seconds) for r in rids])
+        wind = np.array([field.factor_wind_mph(r, t_seconds) for r in rids])
+        return np.column_stack([points.gather(precip), points.gather(wind), points.altitudes])
+
     def factor_vectors(self, xy: np.ndarray, t_seconds: float) -> np.ndarray:
         """Vectorized :meth:`factor_vector` for an (N, 2) array of points."""
-        xy = np.asarray(xy, dtype=float)
-        regions = self.partition.region_of_many(xy)
-        precip = np.array(
-            [self.field.factor_precipitation_mm_per_h(int(r), t_seconds) for r in regions]
-        )
-        wind = np.array([self.field.factor_wind_mph(int(r), t_seconds) for r in regions])
-        alt = self.terrain.altitude_many(xy)
-        return np.column_stack([precip, wind, alt])
+        return self.factors(self.terrain.index(xy), t_seconds)
 
     def is_flooded(self, x: float, y: float, t_seconds: float) -> bool:
         """Satellite-imaging flood query for a single position."""

@@ -12,8 +12,8 @@ from repro.core.state import (
     DEMAND_SCALE,
     FEATURES_PER_CANDIDATE,
     TIME_SCALE,
+    CycleDemand,
     build_context,
-    select_candidates,
 )
 from repro.core.system import MobiRescueSystem
 from repro.core.training import pretrain_agent, train_mobirescue
@@ -153,7 +153,10 @@ class TestStateEncoding:
         pending = {segs[0]: 2.0}
         predicted = {segs[1]: 5.0, segs[2]: 1.0}
         ctx = build_context(
-            self._team(scenario), pending, predicted, oracle, frozenset(), 0.5, self.CFG
+            self._team(scenario),
+            CycleDemand(pending, predicted, oracle, frozenset()),
+            0.5,
+            self.CFG,
         )
         assert ctx.state.shape == (self.CFG.state_dim,)
         assert ctx.valid_actions.shape == (self.CFG.num_actions,)
@@ -174,18 +177,16 @@ class TestStateEncoding:
         far_seg = net.out_segments(far_node)[0].segment_id
         near_segs = [s.segment_id for s in net.out_segments(team.node)]
         predicted = {s: 10.0 for s in near_segs}
-        cands, _ = select_candidates(
-            team, {far_seg: 1.0}, predicted, oracle, frozenset(), 2, pending_weight=3.0
-        )
+        demand = CycleDemand({far_seg: 1.0}, predicted, oracle, frozenset())
+        cands, _ = demand.candidates(team, 2, pending_weight=3.0)
         assert far_seg in cands
 
     def test_closed_segments_excluded(self, michael_small):
         scenario, _ = michael_small
         oracle = travel_time_oracle(scenario.network)
         seg = scenario.network.segments()[0].segment_id
-        cands, _ = select_candidates(
-            self._team(scenario), {seg: 3.0}, {}, oracle, frozenset({seg}), 4, 3.0
-        )
+        demand = CycleDemand({seg: 3.0}, {}, oracle, frozenset({seg}))
+        cands, _ = demand.candidates(self._team(scenario), 4, 3.0)
         assert cands == []
 
     def test_feature_scaling_saturates(self, michael_small):
@@ -194,10 +195,7 @@ class TestStateEncoding:
         seg = scenario.network.out_segments(self._team(scenario).node)[0].segment_id
         ctx = build_context(
             self._team(scenario),
-            {seg: 1_000.0},
-            {},
-            oracle,
-            frozenset(),
+            CycleDemand({seg: 1_000.0}, {}, oracle, frozenset()),
             2.0,  # clipped to 1
             self.CFG,
         )

@@ -82,7 +82,8 @@ class TestFloodMonotonicity:
         level["v"] = lo
         w_lo = flood.waterline_m(3, 0.0)
         level["v"] = hi
-        w_hi = flood.waterline_m(3, 0.0)
+        # A new time: waterlines are memoized per (region, t).
+        w_hi = flood.waterline_m(3, 1.0)
         assert w_hi >= w_lo - 1e-9
 
     @settings(max_examples=15, deadline=None)
