@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.geo.regions import clip_unit
 from repro.geo.terrain import PointIndex, TerrainField
 
 #: ``severity_fn(region_id, t_seconds) -> float in [0, 1]``; a pure function
@@ -88,7 +89,7 @@ class FloodModel:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        severity = float(np.clip(self.severity_fn(region_id, t_seconds), 0.0, 1.0))
+        severity = float(clip_unit(self.severity_fn(region_id, t_seconds)))
         alts = self._region_alt_samples[region_id]
         if severity <= 0.0:
             waterline = float(alts[0]) - 1.0

@@ -35,11 +35,10 @@ from repro.geo.regions import RegionPartition
 from repro.geo.terrain import TerrainField
 from repro.hospitals.hospitals import Hospital
 from repro.mobility.person import Person
-from repro.mobility.routes import RouteCache
+from repro.mobility.routes import RouteCache, RouteColumns
 from repro.mobility.trace import GpsTrace, RescueRecord, TraversalLog
 from repro.mobility.trips import PlannedTrip, TripModel, TripModelConfig
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.routing import Route
 from repro.weather.fields import RegionWeatherField
 from repro.weather.storms import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -102,11 +101,29 @@ class TraceBundle:
         return [r for r in self.rescues if t0 <= r.request_time_s < t1]
 
 
-class _Buffers:
-    """Column accumulators for fixes and traversals."""
+#: Driving fixes wait for their altitude until this many have gathered, then
+#: get it from one terrain query.  The terrain field is evaluated point by
+#: point, so the block size changes no value, only the number of calls.
+ALTITUDE_BLOCK = 65_536
 
-    def __init__(self) -> None:
-        self.pid: list[np.ndarray] = []
+#: Placeholder in the altitude column for a chunk still waiting for its query.
+_NO_ALTITUDE = np.empty(0, dtype=np.float32)
+
+
+class _Buffers:
+    """Column accumulators for fixes and traversals.
+
+    Fix columns are cast to their trace dtypes as they arrive; person ids
+    are kept as one (pid, count) run per chunk and expanded once at the
+    end.  Driving fixes arrive without altitude: their float64 positions
+    wait until :data:`ALTITUDE_BLOCK` points have gathered, and one terrain
+    query then fills every waiting chunk's ``alt`` slot.
+    """
+
+    def __init__(self, terrain: TerrainField) -> None:
+        self.terrain = terrain
+        self.pid: list[int] = []
+        self.count: list[int] = []
         self.t: list[np.ndarray] = []
         self.x: list[np.ndarray] = []
         self.y: list[np.ndarray] = []
@@ -114,23 +131,93 @@ class _Buffers:
         self.speed: list[np.ndarray] = []
         self.trav_t: list[np.ndarray] = []
         self.trav_seg: list[np.ndarray] = []
+        #: (alt slot, x, y) of the driving chunks still without altitude.
+        self._pending: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self._pending_n = 0
+
+    def _add(
+        self, pid: int, t: np.ndarray, x: np.ndarray, y: np.ndarray, speed: np.ndarray
+    ) -> None:
+        self.pid.append(pid)
+        self.count.append(len(t))
+        self.t.append(t)
+        self.x.append(x.astype(np.float32))
+        self.y.append(y.astype(np.float32))
+        self.speed.append(speed.astype(np.float32))
 
     def add_fixes(self, pid, t, x, y, alt, speed) -> None:
-        n = len(t)
-        if n == 0:
-            return
-        self.pid.append(np.full(n, pid, dtype=np.int32))
-        self.t.append(np.asarray(t, dtype=np.float64))
-        self.x.append(np.asarray(x, dtype=np.float32))
-        self.y.append(np.asarray(y, dtype=np.float32))
-        self.alt.append(np.asarray(alt, dtype=np.float32))
-        self.speed.append(np.asarray(speed, dtype=np.float32))
+        self._add(pid, t, x, y, speed)
+        self.alt.append(alt.astype(np.float32))
 
-    def add_traversals(self, t, seg) -> None:
-        if len(t) == 0:
+    def add_drive_fixes(self, pid, t, x, y, speed) -> None:
+        """Fixes whose altitude is the terrain's at (``x``, ``y``)."""
+        self._add(pid, t, x, y, speed)
+        self._pending.append((len(self.alt), x, y))
+        self.alt.append(_NO_ALTITUDE)
+        self._pending_n += len(t)
+        if self._pending_n >= ALTITUDE_BLOCK:
+            self._fill_altitudes()
+
+    def _fill_altitudes(self) -> None:
+        if not self._pending:
             return
-        self.trav_t.append(np.asarray(t, dtype=np.float64))
-        self.trav_seg.append(np.asarray(seg, dtype=np.int32))
+        xy = np.column_stack(
+            [
+                np.concatenate([x for _, x, _ in self._pending]),
+                np.concatenate([y for _, _, y in self._pending]),
+            ]
+        )
+        alt = self.terrain.altitude_many(xy).astype(np.float32)
+        ends = np.cumsum([len(x) for _, x, _ in self._pending])
+        for (slot, _, _), chunk in zip(self._pending, np.split(alt, ends[:-1])):
+            self.alt[slot] = chunk
+        self._pending = []
+        self._pending_n = 0
+
+    def add_traversals(self, t: np.ndarray, seg: np.ndarray) -> None:
+        self.trav_t.append(t)
+        self.trav_seg.append(seg)
+
+    def trace(self) -> GpsTrace:
+        """Every fix added so far, in insertion order."""
+        if not self.t:
+            return GpsTrace.empty()
+        self._fill_altitudes()
+        return GpsTrace(
+            np.repeat(np.array(self.pid, dtype=np.int32), self.count),
+            np.concatenate(self.t),
+            np.concatenate(self.x),
+            np.concatenate(self.y),
+            np.concatenate(self.alt),
+            np.concatenate(self.speed),
+        )
+
+    def traversals(self) -> TraversalLog:
+        if not self.trav_t:
+            return TraversalLog.empty()
+        return TraversalLog(np.concatenate(self.trav_t), np.concatenate(self.trav_seg))
+
+
+def _hour_index(t: float, hours: int) -> int:
+    """Column of time ``t`` in an hourly table of ``hours`` columns."""
+    return min(hours - 1, max(0, int(t // SECONDS_PER_HOUR)))
+
+
+class _NodeSeverity:
+    """``(node, t) -> severity`` read off the per-region hourly table.
+
+    An object of its own rather than a generator method: the trip model
+    then holds no reference back to the generator, so a generator and its
+    route cache are freed as soon as the caller drops them, not at the
+    next full garbage collection.
+    """
+
+    def __init__(self, table: np.ndarray, node_row: dict[int, int]) -> None:
+        self.table = table
+        self.node_row = node_row
+
+    def __call__(self, node: int, t: float) -> float:
+        return float(self.table[self.node_row[node], _hour_index(t, self.table.shape[1])])
 
 
 class MobilityTraceGenerator:
@@ -157,10 +244,12 @@ class MobilityTraceGenerator:
         self.config = config or TraceConfig()
         self.timeline = weather.timeline
         self.route_cache = RouteCache(network)
-        self.trip_model = TripModel(
-            self._node_severity, self.config.trip_model, self.timeline.intensity
-        )
         self._precompute_tables()
+        self.trip_model = TripModel(
+            _NodeSeverity(self._severity, self._node_row),
+            self.config.trip_model,
+            self.timeline.intensity,
+        )
 
     # -- precomputed lookup tables ------------------------------------------
 
@@ -189,12 +278,13 @@ class MobilityTraceGenerator:
                 precip[i, h] = self.weather.factor_precipitation_mm_per_h(r, t)
                 wind[i, h] = self.weather.factor_wind_mph(r, t)
                 waterline[i, h] = self.flood.waterline_m(r, t)
-        self._rindex = rindex
         self._precip = precip
         self._wind = wind
         self._hours = hours
 
         node_r = np.array([rindex[int(r)] for r in self._node_region])
+        #: Each landmark's row in the per-region tables.
+        self._node_row = dict(zip(node_ids, node_r.tolist()))
         flooded = waterline[node_r, :] >= self._node_alt[:, None]  # (nodes, hours)
         self._node_flooded = flooded
         #: Water depth over each landmark per hour, meters (0 when dry).
@@ -215,18 +305,11 @@ class MobilityTraceGenerator:
                 sev[rindex[r], h] = self.weather.severity(r, h * SECONDS_PER_HOUR)
         self._severity = sev
 
-    def _hour(self, t: float) -> int:
-        return min(self._hours - 1, max(0, int(t // SECONDS_PER_HOUR)))
-
-    def _node_severity(self, node: int, t: float) -> float:
-        i = self._node_index[node]
-        return float(self._severity[self._rindex[int(self._node_region[i])], self._hour(t)])
-
     def node_factor_vector(self, node: int, t: float) -> tuple[float, float, float]:
         """Disaster-related factors (P, W, A) at a landmark and time."""
         i = self._node_index[node]
-        r = self._rindex[int(self._node_region[i])]
-        h = self._hour(t)
+        r = self._node_row[node]
+        h = _hour_index(t, self._hours)
         return (
             float(self._precip[r, h]),
             float(self._wind[r, h]),
@@ -266,37 +349,34 @@ class MobilityTraceGenerator:
         self,
         pid: int,
         t0: float,
-        route: Route,
+        cols: RouteColumns,
         rng: np.random.Generator,
         out: _Buffers,
     ) -> float:
-        """Drive ``route`` starting at ``t0``; returns arrival time."""
+        """Drive a route starting at ``t0``; returns arrival time."""
         mult = max(0.2, self._speed_multiplier(t0))
-        seg_times = np.array(
-            [self.network.segment(s).free_flow_time_s / mult for s in route.segment_ids]
-        )
-        entries = t0 + np.concatenate([[0.0], np.cumsum(seg_times)[:-1]])
+        seg_times = cols.free_flow_s / mult
+        node_times = t0 + np.concatenate([[0.0], seg_times.cumsum()])
+        # Numpy's pairwise sum, not the running sum's last entry: the two
+        # can differ in the last bit.
         arrival = t0 + float(seg_times.sum())
-        out.add_traversals(entries, np.array(route.segment_ids))
+        out.add_traversals(node_times[:-1], cols.segment_ids)
 
         cfg = self.config
         ts = np.arange(t0, arrival, cfg.trip_fix_interval_s)
         if ts.size:
-            node_times = t0 + np.concatenate([[0.0], np.cumsum(seg_times)])
-            nxy = np.array([self.network.landmark(n).xy for n in route.nodes])
-            x = np.interp(ts, node_times, nxy[:, 0]) + rng.normal(
+            x = np.interp(ts, node_times, cols.node_x) + rng.normal(
                 0.0, cfg.gps_noise_sigma_m, ts.size
             )
-            y = np.interp(ts, node_times, nxy[:, 1]) + rng.normal(
+            y = np.interp(ts, node_times, cols.node_y) + rng.normal(
                 0.0, cfg.gps_noise_sigma_m, ts.size
             )
-            alt = self.terrain.altitude_many(np.column_stack([x, y]))
-            seg_speed = np.array(
-                [self.network.segment(s).speed_limit_mps * mult for s in route.segment_ids]
-            )
-            idx = np.clip(np.searchsorted(node_times, ts, side="right") - 1, 0, len(seg_speed) - 1)
-            speed = seg_speed[idx] + rng.normal(0.0, 0.5, ts.size)
-            out.add_fixes(pid, ts, x, y, alt, np.abs(speed))
+            # ts[0] == node_times[0], so the segment index is never negative;
+            # fixes past the running sum's end stay on the last segment.
+            seg = node_times.searchsorted(ts, side="right") - 1
+            idx = np.minimum(seg, len(seg_times) - 1)
+            speed = cols.speed_limits_mps[idx] * mult + rng.normal(0.0, 0.5, ts.size)
+            out.add_drive_fixes(pid, ts, x, y, np.abs(speed))
         return arrival
 
     # -- trapping ground truth -----------------------------------------------
@@ -362,17 +442,17 @@ class MobilityTraceGenerator:
         request_t = trap_t + rng.uniform(*cfg.request_delay_range_s)
         delivery_target = request_t + rng.uniform(*cfg.delivery_delay_range_s)
         hosp_node = self._nearest_hospital_node(node)
-        ride = self.route_cache.route(node, hosp_node)
+        ride = self.route_cache.columns(node, hosp_node)
 
         i = self._node_index[node]
         end = self.timeline.duration_s
 
-        if ride is None or ride.is_trivial:
+        if ride is None or ride.route.is_trivial:
             ride_depart = min(delivery_target, end)
             self._emit_stay(pid, stay_start, ride_depart, node, person.gps_interval_s, rng, out)
             delivered = ride_depart
         else:
-            ride_depart = max(request_t, delivery_target - ride.travel_time_s)
+            ride_depart = max(request_t, delivery_target - ride.route.travel_time_s)
             self._emit_stay(pid, stay_start, ride_depart, node, person.gps_interval_s, rng, out)
             delivered = self._emit_move(pid, ride_depart, ride, rng, out)
 
@@ -394,8 +474,8 @@ class MobilityTraceGenerator:
         self._emit_stay(pid, delivered, discharge, hosp_node, person.gps_interval_s, rng, out)
         if discharge >= end:
             return end
-        home_ride = self.route_cache.route(hosp_node, person.home_node)
-        if home_ride is None or home_ride.is_trivial:
+        home_ride = self.route_cache.columns(hosp_node, person.home_node)
+        if home_ride is None or home_ride.route.is_trivial:
             return discharge
         return self._emit_move(pid, discharge, home_ride, rng, out)
 
@@ -443,8 +523,8 @@ class MobilityTraceGenerator:
                         rescued = True
                         continue
                 self._emit_stay(pid, t, trip.depart_s, cur, person.gps_interval_s, rng, out)
-                route = self.route_cache.route(trip.src, trip.dst)
-                if route is None or route.is_trivial:
+                route = self.route_cache.columns(trip.src, trip.dst)
+                if route is None or route.route.is_trivial:
                     t = trip.depart_s
                     continue
                 t = self._emit_move(pid, trip.depart_s, route, rng, out)
@@ -461,24 +541,12 @@ class MobilityTraceGenerator:
 
     def generate(self, persons: list[Person]) -> TraceBundle:
         """Simulate all persons and assemble the raw dataset."""
-        out = _Buffers()
+        out = _Buffers(self.terrain)
         rescues: list[RescueRecord] = []
         for person in persons:
             self._simulate_person(person, out, rescues)
-
-        trace = GpsTrace(
-            np.concatenate(out.pid) if out.pid else np.zeros(0),
-            np.concatenate(out.t) if out.t else np.zeros(0),
-            np.concatenate(out.x) if out.x else np.zeros(0),
-            np.concatenate(out.y) if out.y else np.zeros(0),
-            np.concatenate(out.alt) if out.alt else np.zeros(0),
-            np.concatenate(out.speed) if out.speed else np.zeros(0),
-        )
-        trace = self._dirty(trace)
-        traversals = TraversalLog(
-            np.concatenate(out.trav_t) if out.trav_t else np.zeros(0),
-            np.concatenate(out.trav_seg) if out.trav_seg else np.zeros(0),
-        )
+        trace = self._dirty(out.trace())
+        traversals = out.traversals()
         rescues.sort(key=lambda r: r.request_time_s)
         return TraceBundle(trace=trace, traversals=traversals, rescues=rescues, persons=persons)
 

@@ -159,18 +159,16 @@ def reconstruct_traversals(
             dt = ts[i + 1] - ts[i]
             if dt > max_gap_s or dt <= 0:
                 continue
-            route = cache.route(int(nodes[i]), int(nodes[i + 1]))
-            if route is None or route.is_trivial:
+            cols = cache.columns(int(nodes[i]), int(nodes[i + 1]))
+            if cols is None or cols.route.is_trivial:
                 continue
-            seg_times = np.array(
-                [network.segment(s).free_flow_time_s for s in route.segment_ids]
-            )
+            seg_times = cols.free_flow_s
             total = seg_times.sum()
             if total <= 0:
                 continue
             offsets = np.concatenate([[0.0], np.cumsum(seg_times)[:-1]]) / total
             ts_parts.append(ts[i] + offsets * dt)
-            seg_parts.append(np.array(route.segment_ids, dtype=np.int32))
+            seg_parts.append(cols.segment_ids)
     if not ts_parts:
         return TraversalLog.empty()
     return TraversalLog(np.concatenate(ts_parts), np.concatenate(seg_parts))

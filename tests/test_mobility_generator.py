@@ -42,9 +42,11 @@ class TestGeneratorConfig:
         a = make_generator(scen, seed=11).generate(persons)
         b = make_generator(scen, seed=11).generate(persons)
         assert len(a.trace) == len(b.trace)
-        assert len(a.rescues) == len(b.rescues)
-        np.testing.assert_array_equal(a.trace.t[:500], b.trace.t[:500])
-        assert [r.person_id for r in a.rescues] == [r.person_id for r in b.rescues]
+        for name in a.trace.COLUMNS:
+            np.testing.assert_array_equal(getattr(a.trace, name), getattr(b.trace, name))
+        np.testing.assert_array_equal(a.traversals.t, b.traversals.t)
+        np.testing.assert_array_equal(a.traversals.segment_id, b.traversals.segment_id)
+        assert a.rescues == b.rescues
 
     def test_seed_changes_outcome(self, scen, persons):
         a = make_generator(scen, seed=11).generate(persons)
