@@ -5,11 +5,13 @@ The robustness layer (``examples/fault_injection.py``) degrades the
 service shell absorbing both.  ``repro.service`` validates every GPS
 record at ingest, puts circuit breakers with degraded fallbacks around
 the SVM predictor and the RL policy, and holds each stage to a slice of
-a per-tick deadline.  The chaos harness runs, per seed, a plain-engine
+a per-tick deadline.  The chaos harness (the service plug-in over the
+campaign core in ``repro.core.chaos``) runs, per seed, a plain-engine
 baseline, a clean guarded run (asserted bit-identical — the guards add
 armour, never behavior), and a fault-composed chaos run, then checks the
 invariants: no tick skipped, no exception escapes, served-under-chaos
-within the degradation factor.
+within the degradation factor.  The result is one ``SeedVerdict``:
+invariant booleans in ``checks``, the run record in ``fields``.
 
 Run:  python examples/chaos_run.py
 """
@@ -36,10 +38,10 @@ def main() -> None:
           f"under the {PROFILE!r} profile...\n")
     verdict = harness.run_seed(SEED)
 
-    clean, chaos = verdict.clean_summary, verdict.chaos_summary
+    clean, chaos = verdict.fields["clean"], verdict.fields["chaos"]
     print(f"{'':<28}{'clean':>10}{'chaos':>10}")
     rows = [
-        ("served requests", verdict.clean_served, verdict.chaos_served),
+        ("served requests", verdict.fields["clean_served"], verdict.fields["chaos_served"]),
         ("ticks completed/expected",
          f"{clean['ticks_completed']}/{clean['ticks_expected']}",
          f"{chaos['ticks_completed']}/{chaos['ticks_expected']}"),
@@ -61,8 +63,10 @@ def main() -> None:
     for kind, count in sorted(chaos["service_incident_kinds"].items()):
         print(f"  {kind:<26}{count:>6}")
 
-    print(f"\nclean run bit-identical to the plain engine: {verdict.equivalence_ok}")
-    print(f"invariants: {'ALL HELD' if verdict.ok else 'VIOLATED'}")
+    print("\ninvariants:")
+    for name, held in verdict.checks.items():
+        print(f"  {name:<26}{'held' if held else 'BROKEN':>6}")
+    print(f"verdict: {'ALL HELD' if verdict.ok else 'VIOLATED'}")
     for violation in verdict.violations:
         print(f"  VIOLATION: {violation}")
 

@@ -450,173 +450,66 @@ def cmd_robustness(args) -> int:
     return 0
 
 
+def _chaos_surfaces(args) -> list[tuple[str, type, dict]]:
+    """``repro chaos``'s one table: profile prefix, plug-in, config sizes.
+
+    The first row whose prefix the profile starts with wins; the empty
+    prefix (the guarded service) catches the rest.
+    """
+    from repro.rollouts.chaos import RolloutChaosHarness
+    from repro.service.chaos import ChaosHarness
+    from repro.service.sharding.chaos import ShardChaosHarness
+    from repro.training.chaos import TrainChaosHarness
+
+    quick = args.quick
+    world = dict(
+        population_size=250 if quick else args.population,
+        num_teams=10 if quick else 15,
+        window_days=0.25 if quick else 0.5,
+    )
+    return [
+        ("worker-", RolloutChaosHarness, dict(world, episodes=4 if quick else 8)),
+        ("shard-", ShardChaosHarness, dict(world, degradation_factor=args.factor)),
+        ("train-", TrainChaosHarness, dict(
+            episodes=2 if quick else 4,
+            population_size=300 if quick else args.population,
+            num_teams=8 if quick else 15,
+            work_dir=args.work_dir or None,
+        )),
+        ("", ChaosHarness, dict(world, degradation_factor=args.factor)),
+    ]
+
+
 def cmd_chaos(args) -> int:
-    from repro.faults.profiles import get_component_profile, get_profile
-
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    if not seeds:
-        print("need at least one seed", file=sys.stderr)
-        return 2
-    if args.profile.startswith("worker-"):
-        return _run_rollout_chaos(args, seeds)
-    if args.profile.startswith("shard-"):
-        return _run_shard_chaos(args, seeds)
-    if args.profile.startswith("train-"):
-        return _run_train_chaos(args, seeds)
-    from repro.service.chaos import ChaosConfig, run_chaos
-
+    harness_type, sizes = next(
+        (harness_type, sizes)
+        for prefix, harness_type, sizes in _chaos_surfaces(args)
+        if args.profile.startswith(prefix)
+    )
     try:
-        get_profile(args.profile)
-        get_component_profile(args.profile)
+        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+        config = harness_type.config_type(profile=args.profile, seeds=seeds, **sizes)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    config = ChaosConfig(
-        profile=args.profile,
-        seeds=seeds,
-        population_size=250 if args.quick else args.population,
-        num_teams=10 if args.quick else 15,
-        window_days=0.25 if args.quick else 0.5,
-        degradation_factor=args.factor,
-    )
-    report = run_chaos(
-        config,
-        out_path=args.out or None,
+    report = harness_type(config).run(
         progress=lambda msg: print(msg, file=sys.stderr),
+        out_path=args.out or None,
     )
     for run in report["runs"]:
-        print(
-            f"seed {run['seed']}: clean served {run['clean_served']}, "
-            f"chaos served {run['chaos_served']}, "
-            f"{'OK' if run['ok'] else 'VIOLATED'}"
-        )
+        print(harness_type.line(run))
     if args.out:
         print(f"wrote {args.out}")
     if not report["ok"]:
         for violation in report["violations"]:
             print(f"VIOLATION: {violation}", file=sys.stderr)
         return 1
-    print("all chaos invariants held")
-    return 0
-
-
-def _run_rollout_chaos(args, seeds: tuple[int, ...]) -> int:
-    from repro.faults.profiles import get_worker_profile
-    from repro.rollouts.chaos import RolloutChaosConfig, run_rollout_chaos
-
-    try:
-        get_worker_profile(args.profile)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    config = RolloutChaosConfig(
-        profile=args.profile,
-        seeds=seeds,
-        episodes=4 if args.quick else 8,
-        population_size=250 if args.quick else args.population,
-        num_teams=10 if args.quick else 15,
-        window_days=0.25 if args.quick else 0.5,
-    )
-    report = run_rollout_chaos(
-        config,
-        out_path=args.out or None,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
-    for run in report["runs"]:
-        print(
-            f"seed {run['seed']}: worker deaths {run['worker_deaths']}, "
-            f"quarantined {run['quarantined_ids']}, "
-            f"{'OK' if run['ok'] else 'VIOLATED'}"
-        )
-    if args.out:
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        for violation in report["violations"]:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 1
-    print("all worker chaos invariants held")
-    return 0
-
-
-def _run_train_chaos(args, seeds: tuple[int, ...]) -> int:
-    from repro.faults.profiles import get_train_profile
-    from repro.training import TrainChaosConfig, run_train_chaos
-
-    try:
-        get_train_profile(args.profile)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    config = TrainChaosConfig(
-        profile=args.profile,
-        seeds=seeds,
-        episodes=2 if args.quick else 4,
-        population_size=300 if args.quick else args.population,
-        num_teams=8 if args.quick else 15,
-        work_dir=args.work_dir or None,
-    )
-    report = run_train_chaos(
-        config,
-        out_path=args.out or None,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
-    for run in report["runs"]:
-        print(
-            f"seed {run['seed']}: {run['applied_count']} faults applied, "
-            f"{len(run['anomalies'])} anomalies, "
-            f"{len(run['recoveries'])} recoveries"
-            f"{', ABORTED' if run['aborted'] else ''}, "
-            f"{'OK' if run['ok'] else 'VIOLATED'}"
-        )
-    if args.out:
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        for violation in report["violations"]:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 1
-    print("all training chaos invariants held")
-    return 0
-
-
-def _run_shard_chaos(args, seeds: tuple[int, ...]) -> int:
-    from repro.faults.profiles import get_shard_profile
-    from repro.service.sharding import ShardChaosConfig, run_shard_chaos
-
-    try:
-        get_shard_profile(args.profile)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    config = ShardChaosConfig(
-        profile=args.profile,
-        seeds=seeds,
-        population_size=250 if args.quick else args.population,
-        num_teams=10 if args.quick else 15,
-        window_days=0.25 if args.quick else 0.5,
-        degradation_factor=args.factor,
-    )
-    report = run_shard_chaos(
-        config,
-        out_path=args.out or None,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
-    for run in report["runs"]:
-        print(
-            f"seed {run['seed']}: clean served {run['clean_served']}, "
-            f"shard chaos served {run['chaos_served']}, "
-            f"{'OK' if run['ok'] else 'VIOLATED'}"
-        )
-    if args.out:
-        print(f"wrote {args.out}")
-    if not report["ok"]:
-        for violation in report["violations"]:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 1
-    print("all shard chaos invariants held")
+    print(f"all {harness_type.label} invariants held")
     return 0
 
 
 def cmd_rollouts(args) -> int:
+    from repro.core.chaos import eval_window
     from repro.data import DatasetSpec, build_dataset
     from repro.rollouts import (
         EpisodeSpec,
@@ -627,8 +520,6 @@ def cmd_rollouts(args) -> int:
         build_training_collect_task,
         run_rollouts_serial,
     )
-    from repro.sim.requests import remap_to_operable, requests_from_rescues
-    from repro.weather.storms import SECONDS_PER_DAY, day_index
 
     population = 250 if args.quick else args.population
     episodes = 4 if args.quick else args.episodes
@@ -636,13 +527,8 @@ def cmd_rollouts(args) -> int:
         scenario, bundle = build_dataset(
             DatasetSpec(storm="florence", population_size=population)
         )
-        day = day_index(scenario.timeline, "Sep 16")
-        t0_s = day * SECONDS_PER_DAY
-        t1_s = (day + (0.25 if args.quick else 0.5)) * SECONDS_PER_DAY
-        requests = remap_to_operable(
-            requests_from_rescues(bundle.rescues, t0_s, t1_s),
-            scenario.network,
-            scenario.flood,
+        t0_s, t1_s, requests = eval_window(
+            scenario, bundle, 0.25 if args.quick else 0.5
         )
         task = EvalRolloutTask(
             scenario=scenario,

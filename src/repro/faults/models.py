@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -888,6 +888,16 @@ class WorkerFaultInjector:
             corrupt_result=corrupt,
             poisoned=poisoned,
         )
+
+    def schedules_kills(self, episode_ids: Iterable[int], attempts: int) -> bool:
+        """Does any of the first ``attempts`` attempts of these episodes
+        plan a worker-killing fault (a crash or a stall)?"""
+        for eid in episode_ids:
+            for attempt in range(attempts):
+                plan = self.plan(eid, attempt)
+                if plan.crash_after_beats is not None or plan.stall_s > 0.0:
+                    return True
+        return False
 
     def faulted_attempts(self, episode_id: int) -> int:
         """Attempts this episode sacrifices to non-poison faults.

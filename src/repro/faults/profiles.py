@@ -25,6 +25,7 @@ shipped severities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.faults.models import (
     CheckpointBitrotFault,
@@ -51,6 +52,8 @@ from repro.faults.models import (
     WorkerFaultProfile,
     WorkerStallFault,
 )
+
+_P = TypeVar("_P")
 
 
 @dataclass(frozen=True)
@@ -256,57 +259,40 @@ TRAIN_PROFILES: dict[str, TrainingFaultProfile] = {
 }
 
 
+def _lookup(table: dict[str, _P], name: str, family: str) -> _P:
+    """One shipped profile by name; unknown names list the choices."""
+    try:
+        return table[name]
+    except KeyError:
+        known = ", ".join(sorted(table))
+        raise ValueError(
+            f"unknown {family} profile {name!r} (choose from: {known})"
+        ) from None
+
+
 def get_train_profile(name: str) -> TrainingFaultProfile:
     """Look up a shipped training fault profile by name."""
-    try:
-        return TRAIN_PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(TRAIN_PROFILES))
-        raise ValueError(
-            f"unknown training-fault profile {name!r} (choose from: {known})"
-        ) from None
+    return _lookup(TRAIN_PROFILES, name, "training-fault")
 
 
 def get_worker_profile(name: str) -> WorkerFaultProfile:
     """Look up a shipped rollout-worker fault profile by name."""
-    try:
-        return WORKER_PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(WORKER_PROFILES))
-        raise ValueError(
-            f"unknown worker-fault profile {name!r} (choose from: {known})"
-        ) from None
+    return _lookup(WORKER_PROFILES, name, "worker-fault")
 
 
 def get_shard_profile(name: str) -> ShardFaultProfile:
     """Look up a shipped shard-fault profile by name."""
-    try:
-        return SHARD_PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(SHARD_PROFILES))
-        raise ValueError(
-            f"unknown shard-fault profile {name!r} (choose from: {known})"
-        ) from None
+    return _lookup(SHARD_PROFILES, name, "shard-fault")
 
 
 def get_component_profile(name: str) -> ComponentFaultProfile:
     """Look up a shipped component-fault profile by name."""
-    try:
-        return COMPONENT_PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(COMPONENT_PROFILES))
-        raise ValueError(
-            f"unknown component-fault profile {name!r} (choose from: {known})"
-        ) from None
+    return _lookup(COMPONENT_PROFILES, name, "component-fault")
 
 
 def get_profile(name: str) -> FaultProfile:
     """Look up a shipped profile by name."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(PROFILES))
-        raise ValueError(f"unknown fault profile {name!r} (choose from: {known})") from None
+    return _lookup(PROFILES, name, "fault")
 
 
 def make_injector(

@@ -6,9 +6,10 @@ circuit breakers with degraded fallbacks for the predictor and the RL
 policy (:mod:`repro.service.guards`, :mod:`repro.service.breaker`),
 per-tick deadline slices on a deterministic clock
 (:mod:`repro.service.deadline`), the service loop that wires it all
-(:mod:`repro.service.loop`) and the chaos harness that proves both the
+(:mod:`repro.service.loop`) and the chaos plug-in that proves both the
 zero-fault bit-equivalence and the under-fault invariants
-(:mod:`repro.service.chaos`).
+(:mod:`repro.service.chaos`, over the campaign core in
+:mod:`repro.core.chaos`).
 
 PR 6 adds the sharded topology (:mod:`repro.service.sharding`): the
 ingest stream partitioned by keyspace across isolated shards, a
@@ -25,7 +26,7 @@ from repro.service.breaker import (
     BreakerTransition,
     CircuitBreaker,
 )
-from repro.service.chaos import ChaosConfig, ChaosHarness, SeedVerdict, run_chaos
+from repro.service.chaos import ChaosConfig, ChaosHarness
 from repro.service.deadline import DeadlineBudget, ManualClock
 from repro.service.guards import GuardedPredictor, ResilientDispatcher
 from repro.service.ingest import (
@@ -61,7 +62,6 @@ from repro.service.sharding import (
     ShardSupervisor,
     SupervisorConfig,
     run_loadgen,
-    run_shard_chaos,
 )
 
 __all__ = [
@@ -86,7 +86,6 @@ __all__ = [
     "ManualClock",
     "QuarantinedRecord",
     "ResilientDispatcher",
-    "SeedVerdict",
     "ServiceConfig",
     "ServiceReport",
     "Shard",
@@ -104,8 +103,6 @@ __all__ = [
     "extract_service_report",
     "format_service_report",
     "make_record_corrupter",
-    "run_chaos",
     "run_loadgen",
-    "run_shard_chaos",
     "write_service_report",
 ]

@@ -1,6 +1,7 @@
 """Composable chaos harness: break everything, then prove the invariants.
 
-One :class:`ChaosHarness` run executes, per seed, a *triple*:
+:class:`ChaosHarness` is the service plug-in over the campaign core
+(:mod:`repro.core.chaos`).  Per seed it runs:
 
 1. a **plain engine run** of a fresh MobiRescue system — the golden
    baseline;
@@ -21,12 +22,17 @@ violations into a nonzero exit so CI can gate on them.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro.core.artifacts import atomic_write_json
+from repro.core.chaos import (
+    CampaignConfig,
+    ChaosCampaign,
+    SeedVerdict,
+    eval_window,
+)
 from repro.core.config import MobiRescueConfig
 from repro.core.positions import PopulationFeed
 from repro.core.predictor import RequestPredictor, TrainingSet
@@ -36,115 +42,54 @@ from repro.faults.models import ComponentFaultInjector, FaultInjector
 from repro.faults.profiles import get_component_profile, get_profile
 from repro.mobility.cleaning import clean_trace
 from repro.mobility.mapmatch import map_match
-from repro.service.loop import DispatchService, ServiceConfig, ServiceReport
+from repro.service.loop import DispatchService, ServiceReport
 from repro.sim.engine import RescueSimulator, SimulationConfig, SimulationResult
-from repro.sim.requests import remap_to_operable, requests_from_rescues
-from repro.weather.storms import SECONDS_PER_DAY, day_index
-
-logger = logging.getLogger("repro.service.chaos")
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(CampaignConfig):
     """One chaos campaign: profile, seeds, window, pass criteria."""
 
     profile: str = "severe"
-    seeds: tuple[int, ...] = (0, 1)
     population_size: int = 500
     num_teams: int = 15
     window_days: float = 0.5
-    eval_day: str = "Sep 16"
     #: Chaos must serve at least ``clean_served / degradation_factor``
     #: requests (checked only when the clean run served any).
     degradation_factor: float = 3.0
-    service: ServiceConfig = field(default_factory=ServiceConfig)
+    profile_lookups = (get_profile, get_component_profile)
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        super().__post_init__()
         if self.window_days <= 0:
             raise ValueError("evaluation window must be positive")
         if self.degradation_factor < 1.0:
             raise ValueError("degradation factor must be >= 1")
 
 
-@dataclass
-class SeedVerdict:
-    """Invariant outcomes for one seed's baseline/clean/chaos triple."""
-
-    seed: int
-    clean_served: int
-    chaos_served: int
-    equivalence_ok: bool
-    ticks_ok: bool
-    no_escape: bool
-    degradation_ok: bool
-    violations: list[str]
-    clean_summary: dict[str, object]
-    chaos_summary: dict[str, object]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_json(self) -> dict[str, object]:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "clean_served": self.clean_served,
-            "chaos_served": self.chaos_served,
-            "equivalence_ok": self.equivalence_ok,
-            "ticks_ok": self.ticks_ok,
-            "no_escape": self.no_escape,
-            "degradation_ok": self.degradation_ok,
-            "violations": list(self.violations),
-            "clean": self.clean_summary,
-            "chaos": self.chaos_summary,
-        }
-
-
-def results_bit_identical(a: SimulationResult, b: SimulationResult) -> bool:
-    """Exact equality of every recorded artifact (floats included)."""
-    return (
-        a.pickups == b.pickups
-        and a.deliveries == b.deliveries
-        and a.serving_samples == b.serving_samples
-        and a.incidents == b.incidents
-        and a.requests == b.requests
-        and a.num_served == b.num_served
-    )
-
-
-class ChaosHarness:
-    """Build one small world once, then run seeded chaos triples in it.
+class ServiceWorld:
+    """One small world the service campaigns run every seed in.
 
     The world is the test-scale Florence dataset (evaluation) plus the
     Michael scenario (the predictor's training storm, matching the
-    paper's train-on-Michael / evaluate-on-Florence split); each seed
-    gets freshly-built agents so runs are independent and reproducible.
+    paper's train-on-Michael / evaluate-on-Florence split); each run
+    gets a freshly-built agent so runs are independent and reproducible.
     """
 
-    def __init__(self, config: ChaosConfig | None = None) -> None:
-        self.config = config or ChaosConfig()
-        cfg = self.config
+    def __init__(self, config: ChaosConfig) -> None:
+        self.num_teams = config.num_teams
         self.scenario, bundle = build_dataset(
-            DatasetSpec(storm="florence", population_size=cfg.population_size)
+            DatasetSpec(storm="florence", population_size=config.population_size)
         )
-        self.michael_scenario, _ = build_dataset(
-            DatasetSpec(storm="michael", population_size=cfg.population_size)
+        michael_scenario, _ = build_dataset(
+            DatasetSpec(storm="michael", population_size=config.population_size)
         )
         part = self.scenario.partition
         cleaned, _ = clean_trace(bundle.trace, part.width_m, part.height_m)
         self._matched = map_match(cleaned, self.scenario.network)
         self.known_persons = frozenset(int(p) for p in self._matched.persons())
-
-        day = day_index(self.scenario.timeline, cfg.eval_day)
-        self.t0_s = day * SECONDS_PER_DAY
-        self.t1_s = (day + cfg.window_days) * SECONDS_PER_DAY
-        self.requests = remap_to_operable(
-            requests_from_rescues(bundle.rescues, self.t0_s, self.t1_s),
-            self.scenario.network,
-            self.scenario.flood,
+        self.t0_s, self.t1_s, self.requests = eval_window(
+            self.scenario, bundle, config.window_days
         )
         # The predictor is shared read-only across runs: SVM inference is
         # stateless, so reuse cannot leak state between triples.
@@ -152,18 +97,17 @@ class ChaosHarness:
         x = rng.normal(size=(80, 3))
         y = (x.sum(axis=1) > 0).astype(int)
         self.predictor = (
-            RequestPredictor(self.michael_scenario, flood_gated=False)
+            RequestPredictor(michael_scenario, flood_gated=False)
             .fit(TrainingSet(x=x, y=y))
             .clone_for(self.scenario)
         )
 
-    def _sim_config(self, seed: int) -> SimulationConfig:
-        cfg = self.config
+    def sim_config(self, seed: int) -> SimulationConfig:
         return SimulationConfig(
-            t0_s=self.t0_s, t1_s=self.t1_s, num_teams=cfg.num_teams, seed=seed
+            t0_s=self.t0_s, t1_s=self.t1_s, num_teams=self.num_teams, seed=seed
         )
 
-    def _make_dispatcher(self, seed: int) -> MobiRescueDispatcher:
+    def dispatcher(self) -> MobiRescueDispatcher:
         """A fresh MobiRescue system; fresh agent => bit-reproducible runs."""
         mcfg = MobiRescueConfig(seed=5)
         return MobiRescueDispatcher(
@@ -175,159 +119,125 @@ class ChaosHarness:
             training=False,
         )
 
-    def _service(
-        self, seed: int, with_faults: bool
+    def service(
+        self,
+        seed: int,
+        service_type: type[DispatchService] = DispatchService,
+        **options: Any,
     ) -> DispatchService:
-        cfg = self.config
-        faults = component_faults = None
-        if with_faults:
-            faults = FaultInjector(
-                get_profile(cfg.profile), self.t0_s, self.t1_s, seed=seed
-            )
-            component_faults = ComponentFaultInjector(
-                get_component_profile(cfg.profile), seed=seed
-            )
-        return DispatchService(
+        """A guarded service over a fresh system; ``options`` arm its faults."""
+        return service_type(
             self.scenario,
             list(self.requests),
-            self._make_dispatcher(seed),
-            self._sim_config(seed),
-            service=cfg.service,
-            faults=faults,
-            component_faults=component_faults,
+            self.dispatcher(),
+            self.sim_config(seed),
             known_persons=self.known_persons,
+            **options,
         )
 
-    def run_seed(self, seed: int) -> SeedVerdict:
-        """One baseline/clean/chaos triple, judged against the invariants."""
-        cfg = self.config
-        violations: list[str] = []
 
-        def record_violation(message: str) -> None:
-            violations.append(message)
+def check_served(
+    verdict: SeedVerdict, factor: float, clean_served: int, chaos_served: int, label: str
+) -> None:
+    """The degradation invariant: chaos serves at least clean / ``factor``.
 
+    Checked only when the clean run served any request.
+    """
+    if clean_served > 0:
+        verdict.check(
+            "degradation_ok",
+            chaos_served * factor >= clean_served,
+            f"{label} served {chaos_served} < {clean_served}/{factor:g}",
+        )
+
+
+class ChaosHarness(ChaosCampaign[ChaosConfig]):
+    """The service plug-in: baseline/clean/chaos triples in one world."""
+
+    config_type = ChaosConfig
+    invariants = ("equivalence_ok", "ticks_ok", "degradation_ok")
+
+    def __init__(self, config: ChaosConfig | None = None) -> None:
+        super().__init__(config)
+        self.world = ServiceWorld(self.config)
+
+    def reference(
+        self, verdict: SeedVerdict, work: None
+    ) -> tuple[SimulationResult, ServiceReport]:
+        world, seed = self.world, verdict.seed
         baseline = RescueSimulator(
-            self.scenario,
-            list(self.requests),
-            self._make_dispatcher(seed),
-            self._sim_config(seed),
+            world.scenario, list(world.requests), world.dispatcher(), world.sim_config(seed)
+        ).run()
+        clean = world.service(seed).run()
+        verdict.check(
+            "equivalence_ok",
+            clean.result == baseline,
+            "clean service run diverged from the plain engine run "
+            f"(served {clean.result.num_served} vs {baseline.num_served})",
+        )
+        if not clean.all_ticks_completed:
+            verdict.violate(
+                f"clean run skipped ticks "
+                f"({clean.ticks_completed}/{clean.ticks_expected})"
+            )
+        return baseline, clean
+
+    def chaos(self, seed: int, reference: Any) -> ServiceReport:
+        world, profile = self.world, self.config.profile
+        return world.service(
+            seed,
+            faults=FaultInjector(
+                get_profile(profile), world.t0_s, world.t1_s, seed=seed
+            ),
+            component_faults=ComponentFaultInjector(
+                get_component_profile(profile), seed=seed
+            ),
         ).run()
 
-        clean_report = self._service(seed, with_faults=False).run()
-        equivalence_ok = results_bit_identical(baseline, clean_report.result)
-        if not equivalence_ok:
-            record_violation(
-                f"seed {seed}: clean service run diverged from the plain "
-                f"engine run (served {clean_report.result.num_served} "
-                f"vs {baseline.num_served})"
-            )
-        if not clean_report.all_ticks_completed:
-            record_violation(
-                f"seed {seed}: clean run skipped ticks "
-                f"({clean_report.ticks_completed}/{clean_report.ticks_expected})"
-            )
-
-        chaos_service = self._service(seed, with_faults=True)
-        no_escape = True
-        try:
-            chaos_report = chaos_service.run()
-        except Exception as exc:  # repro: allow-broad-except -- chaos invariant: record the escape as a violation, never crash the harness
-            no_escape = False
-            record_violation(
-                f"seed {seed}: exception escaped the service under chaos "
-                f"({type(exc).__name__}: {exc})"
-            )
-            logger.exception("chaos run escaped for seed %d", seed)
-            chaos_report = ServiceReport(
-                result=SimulationResult(
-                    dispatcher_name="(crashed)",
-                    config=self._sim_config(seed),
-                    requests=[],
-                ),
-                ticks_expected=chaos_service.expected_ticks(),
-                ticks_completed=chaos_service.ticks_completed,
-                incidents=chaos_service.incidents,
-                incidents_dropped=chaos_service.incidents_dropped,
-                predictor_breaker=chaos_service.predictor_breaker.snapshot(),
-                policy_breaker=chaos_service.policy_breaker.snapshot(),
-                ingest=chaos_service.ingest_guard.stats(),
-                policy_fallback_cycles=0,
-                predictor_fallback_serves=0,
-            )
-
-        ticks_ok = chaos_report.all_ticks_completed
-        if no_escape and not ticks_ok:
-            record_violation(
-                f"seed {seed}: chaos run skipped ticks "
-                f"({chaos_report.ticks_completed}/{chaos_report.ticks_expected})"
-            )
-
-        clean_served = baseline.num_served
-        chaos_served = chaos_report.result.num_served
-        degradation_ok = True
-        if no_escape and clean_served > 0:
-            degradation_ok = (
-                chaos_served * cfg.degradation_factor >= clean_served
-            )
-            if not degradation_ok:
-                record_violation(
-                    f"seed {seed}: chaos served {chaos_served} < "
-                    f"{clean_served}/{cfg.degradation_factor:g} "
-                    f"(clean served {clean_served})"
-                )
-
-        verdict = SeedVerdict(
-            seed=seed,
-            clean_served=clean_served,
-            chaos_served=chaos_served,
-            equivalence_ok=equivalence_ok,
-            ticks_ok=ticks_ok,
-            no_escape=no_escape,
-            degradation_ok=degradation_ok,
-            violations=violations,
-            clean_summary=clean_report.summary(),
-            chaos_summary=chaos_report.summary(),
+    def judge(
+        self,
+        verdict: SeedVerdict,
+        reference: tuple[SimulationResult, ServiceReport],
+        report: ServiceReport | None,
+    ) -> None:
+        baseline, clean = reference
+        verdict.fields.update(
+            clean_served=baseline.num_served,
+            chaos_served=0,
+            clean=clean.summary(),
+            chaos={},
         )
-        logger.info(
-            "chaos seed %d: %s (clean served %d, chaos served %d, "
-            "%d violations)",
-            seed,
-            "OK" if verdict.ok else "VIOLATED",
-            clean_served,
-            chaos_served,
-            len(violations),
+        if report is None:
+            return
+        verdict.fields.update(
+            chaos_served=report.result.num_served, chaos=report.summary()
         )
-        return verdict
+        verdict.check(
+            "ticks_ok",
+            report.all_ticks_completed,
+            f"chaos run skipped ticks "
+            f"({report.ticks_completed}/{report.ticks_expected})",
+        )
+        check_served(
+            verdict,
+            self.config.degradation_factor,
+            baseline.num_served,
+            report.result.num_served,
+            self.label,
+        )
 
-    def run(self, progress=None) -> dict[str, object]:
-        """All seeds; returns the JSON-ready campaign report."""
+    def header(self, runs: list[dict[str, Any]]) -> dict[str, Any]:
         cfg = self.config
-        verdicts = []
-        for seed in cfg.seeds:
-            if progress:
-                progress(f"chaos triple for seed {seed} under {cfg.profile!r}...")
-            verdicts.append(self.run_seed(seed))
-        report = {
-            "profile": cfg.profile,
-            "seeds": list(cfg.seeds),
+        return {
             "population_size": cfg.population_size,
             "num_teams": cfg.num_teams,
             "window_days": cfg.window_days,
             "degradation_factor": cfg.degradation_factor,
-            "ok": all(v.ok for v in verdicts),
-            "violations": [m for v in verdicts for m in v.violations],
-            "runs": [v.as_json() for v in verdicts],
         }
-        return report
 
-
-def run_chaos(
-    config: ChaosConfig | None = None,
-    out_path: str | None = None,
-    progress=None,
-) -> dict[str, object]:
-    """Run a chaos campaign; optionally persist the report atomically."""
-    report = ChaosHarness(config).run(progress=progress)
-    if out_path is not None:
-        atomic_write_json(out_path, report)
-    return report
+    @staticmethod
+    def describe(run: dict[str, Any]) -> str:
+        return (
+            f"clean served {run['clean_served']}, "
+            f"chaos served {run['chaos_served']}"
+        )

@@ -13,6 +13,7 @@ loadgen artifact that already embeds the same sections.  The CLI's
 from __future__ import annotations
 
 import datetime
+from collections import Counter
 from typing import Any
 
 from repro.core.artifacts import atomic_write_json
@@ -71,6 +72,12 @@ def _first_run(campaign: dict[str, Any]) -> dict[str, Any] | None:
     return None
 
 
+def _kind_counts(incidents: list[Any]) -> dict[str, int]:
+    return dict(
+        Counter(str(i.get("kind", "?")) for i in incidents if isinstance(i, dict))
+    )
+
+
 def extract_service_report(payload: dict[str, Any]) -> dict[str, Any]:
     """Pull the unified report out of a chaos campaign or loadgen artifact.
 
@@ -94,16 +101,11 @@ def extract_service_report(payload: dict[str, Any]) -> dict[str, Any]:
         )
     if payload.get("format") == TRAIN_FORENSICS_FORMAT_NAME:
         anomalies = payload.get("anomalies") or []
-        kinds: dict[str, int] = {}
-        for anomaly in anomalies:
-            if isinstance(anomaly, dict):
-                kind = str(anomaly.get("kind", "?"))
-                kinds[kind] = kinds.get(kind, 0) + 1
         return build_service_report(
             source="train-forensics",
             ingest={},
             incidents=list(anomalies),
-            incident_kinds=kinds,
+            incident_kinds=_kind_counts(anomalies),
             training={
                 "aborted": True,
                 "reason": payload.get("reason"),
@@ -134,6 +136,14 @@ def extract_service_report(payload: dict[str, Any]) -> dict[str, Any]:
             },
         )
     summary = run.get("chaos") or run.get("clean") or {}
+    if str(payload.get("profile", "")).startswith("worker-"):
+        incidents = summary.get("incidents") or []
+        return build_service_report(
+            source=f"chaos:{payload['profile']}",
+            ingest={},
+            incidents=incidents,
+            incident_kinds=_kind_counts(incidents),
+        )
     return build_service_report(
         source=f"chaos:{payload.get('profile', '?')}",
         ingest=summary.get("ingest") or {},

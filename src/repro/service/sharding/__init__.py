@@ -41,8 +41,6 @@ from repro.service.sharding.shard import Shard
 from repro.service.sharding.chaos import (
     ShardChaosConfig,
     ShardChaosHarness,
-    ShardSeedVerdict,
-    run_shard_chaos,
 )
 from repro.service.sharding.supervisor import (
     STATUS_ABANDONED,
@@ -68,7 +66,6 @@ __all__ = [
     "ShardAssignment",
     "ShardChaosConfig",
     "ShardChaosHarness",
-    "ShardSeedVerdict",
     "ShardSupervisor",
     "ShardedDispatchService",
     "ShardedIngestGuard",
@@ -82,6 +79,5 @@ __all__ = [
     "merge_shard_records",
     "quick_config",
     "run_loadgen",
-    "run_shard_chaos",
     "validate_loadgen_payload",
 ]

@@ -1,7 +1,8 @@
 """Shard-level chaos: kill shards mid-run, then prove the invariants.
 
-Extends the PR 5 chaos pattern to the sharded topology.  Per seed the
-harness runs a *triple*:
+:class:`ShardChaosHarness` is the sharded-topology plug-in over the
+campaign core (:mod:`repro.core.chaos`), in the same world as the
+service plug-in.  Per seed it runs:
 
 1. a **clean unsharded service run** — the PR 5 reference;
 2. a **clean sharded run** — asserted **bit-identical** to (1), so the
@@ -18,258 +19,158 @@ count stayed within the degradation factor of the clean run.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
+from typing import Any, cast
 
-from repro.core.artifacts import atomic_write_json
-from repro.faults.models import ComponentFaultInjector, FaultInjector, ShardFaultInjector
-from repro.faults.profiles import (
-    get_component_profile,
-    get_profile,
-    get_shard_profile,
-)
-from repro.service.chaos import ChaosConfig, ChaosHarness, results_bit_identical
+from repro.core.chaos import ChaosCampaign, SeedVerdict
+from repro.faults.models import ShardFaultInjector
+from repro.faults.profiles import get_shard_profile
+from repro.service.chaos import ChaosConfig, ServiceWorld, check_served
+from repro.service.loop import ServiceReport
 from repro.service.sharding.service import (
     ShardedDispatchService,
     ShardedServiceReport,
     ShardingConfig,
 )
 
-logger = logging.getLogger("repro.service.sharding.chaos")
-
 
 @dataclass(frozen=True)
 class ShardChaosConfig(ChaosConfig):
-    """A shard chaos campaign: the base campaign plus the topology.
+    """A shard chaos campaign: the service campaign plus the topology.
 
     ``profile`` names a :data:`~repro.faults.profiles.SHARD_PROFILES`
-    entry; ``env_profile`` optionally layers an environment/component
-    profile from the base harness on top of the shard faults.
+    entry.
     """
 
     profile: str = "shard-blackout"
-    env_profile: str = "none"
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
+    profile_lookups = (get_shard_profile,)
 
 
-@dataclass
-class ShardSeedVerdict:
-    """Invariant outcomes for one seed's unsharded/sharded/chaos triple."""
+class ShardChaosHarness(ChaosCampaign[ShardChaosConfig]):
+    """The shard plug-in: unsharded/sharded/shard-chaos triples."""
 
-    seed: int
-    clean_served: int
-    chaos_served: int
-    equivalence_ok: bool
-    ticks_ok: bool
-    no_escape: bool
-    failover_budget_ok: bool
-    reconciliation_ok: bool
-    degradation_ok: bool
-    violations: list[str]
-    clean_summary: dict[str, object]
-    chaos_summary: dict[str, object]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_json(self) -> dict[str, object]:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "clean_served": self.clean_served,
-            "chaos_served": self.chaos_served,
-            "equivalence_ok": self.equivalence_ok,
-            "ticks_ok": self.ticks_ok,
-            "no_escape": self.no_escape,
-            "failover_budget_ok": self.failover_budget_ok,
-            "reconciliation_ok": self.reconciliation_ok,
-            "degradation_ok": self.degradation_ok,
-            "violations": list(self.violations),
-            "clean": self.clean_summary,
-            "chaos": self.chaos_summary,
-        }
-
-
-class ShardChaosHarness(ChaosHarness):
-    """One small world, seeded unsharded/sharded/shard-chaos triples."""
+    config_type = ShardChaosConfig
+    label = "shard chaos"
+    invariants = (
+        "equivalence_ok",
+        "ticks_ok",
+        "failover_budget_ok",
+        "reconciliation_ok",
+        "degradation_ok",
+    )
 
     def __init__(self, config: ShardChaosConfig | None = None) -> None:
-        self.shard_config = config or ShardChaosConfig()
-        # The base world builder must not try to resolve the shard
-        # profile name as an environment profile, so hand it a base
-        # config with the optional environment profile instead.
-        base = ChaosConfig(
-            profile=self.shard_config.env_profile,
-            seeds=self.shard_config.seeds,
-            population_size=self.shard_config.population_size,
-            num_teams=self.shard_config.num_teams,
-            window_days=self.shard_config.window_days,
-            eval_day=self.shard_config.eval_day,
-            degradation_factor=self.shard_config.degradation_factor,
-            service=self.shard_config.service,
-        )
-        super().__init__(base)
+        super().__init__(config)
+        self.world = ServiceWorld(self.config)
 
-    def _sharded_service(
-        self, seed: int, with_shard_faults: bool
+    def sharded_service(
+        self, seed: int, shard_faults: ShardFaultInjector | None = None
     ) -> ShardedDispatchService:
-        cfg = self.config
-        scfg = self.shard_config
-        faults = component_faults = shard_faults = None
-        if with_shard_faults:
-            shard_faults = ShardFaultInjector(
-                get_shard_profile(scfg.profile), self.t0_s, self.t1_s, seed=seed
-            )
-            if scfg.env_profile != "none":
-                faults = FaultInjector(
-                    get_profile(scfg.env_profile), self.t0_s, self.t1_s, seed=seed
-                )
-                component_faults = ComponentFaultInjector(
-                    get_component_profile(scfg.env_profile), seed=seed
-                )
-        return ShardedDispatchService(
-            self.scenario,
-            list(self.requests),
-            self._make_dispatcher(seed),
-            self._sim_config(seed),
-            service=cfg.service,
-            sharding=scfg.sharding,
-            faults=faults,
-            component_faults=component_faults,
-            shard_faults=shard_faults,
-            known_persons=self.known_persons,
+        return cast(
+            ShardedDispatchService,
+            self.world.service(
+                seed,
+                ShardedDispatchService,
+                sharding=self.config.sharding,
+                shard_faults=shard_faults,
+            ),
         )
 
-    def run_seed(self, seed: int) -> ShardSeedVerdict:
-        scfg = self.shard_config
-        violations: list[str] = []
-
-        def record_violation(message: str) -> None:
-            violations.append(message)
-
-        clean_unsharded = self._service(seed, with_faults=False).run()
-        clean_sharded = self._sharded_service(seed, with_shard_faults=False).run()
-        equivalence_ok = results_bit_identical(
-            clean_unsharded.result, clean_sharded.result
+    def reference(
+        self, verdict: SeedVerdict, work: None
+    ) -> tuple[ServiceReport, ShardedServiceReport]:
+        unsharded = self.world.service(verdict.seed).run()
+        sharded = self.sharded_service(verdict.seed).run()
+        verdict.check(
+            "equivalence_ok",
+            unsharded.result == sharded.result,
+            "clean sharded run diverged from the unsharded service run "
+            f"(served {sharded.result.num_served} "
+            f"vs {unsharded.result.num_served})",
         )
-        if not equivalence_ok:
-            record_violation(
-                f"seed {seed}: clean sharded run diverged from the unsharded "
-                f"service run (served {clean_sharded.result.num_served} "
-                f"vs {clean_unsharded.result.num_served})"
+        if not sharded.all_ticks_completed:
+            verdict.violate(
+                f"clean sharded run skipped ticks "
+                f"({sharded.ticks_completed}/{sharded.ticks_expected})"
             )
-        if not clean_sharded.all_ticks_completed:
-            record_violation(
-                f"seed {seed}: clean sharded run skipped ticks "
-                f"({clean_sharded.ticks_completed}/{clean_sharded.ticks_expected})"
-            )
+        return unsharded, sharded
 
-        chaos_service = self._sharded_service(seed, with_shard_faults=True)
-        no_escape = True
-        chaos_report: ShardedServiceReport | None = None
-        try:
-            chaos_report = chaos_service.run()
-        except Exception as exc:  # repro: allow-broad-except -- chaos invariant: record the escape as a violation, never crash the harness
-            no_escape = False
-            record_violation(
-                f"seed {seed}: exception escaped the sharded service under "
-                f"chaos ({type(exc).__name__}: {exc})"
-            )
-            logger.exception("shard chaos run escaped for seed %d", seed)
-
-        ticks_ok = failover_budget_ok = reconciliation_ok = degradation_ok = True
-        chaos_served = 0
-        chaos_summary: dict[str, object] = {}
-        if no_escape and chaos_report is not None:
-            chaos_served = chaos_report.result.num_served
-            chaos_summary = chaos_report.summary()
-            ticks_ok = chaos_report.all_ticks_completed
-            if not ticks_ok:
-                record_violation(
-                    f"seed {seed}: shard chaos run skipped ticks "
-                    f"({chaos_report.ticks_completed}/"
-                    f"{chaos_report.ticks_expected})"
-                )
-            supervisor = chaos_service.supervisor
-            failover_budget_ok = supervisor.within_failover_budget()
-            if not failover_budget_ok:
-                record_violation(
-                    f"seed {seed}: keyspace went uncovered for "
-                    f"{supervisor.max_uncovered_cycles()} cycles "
-                    f"(budget {supervisor.config.failover_budget_cycles})"
-                )
-            reconciliation_ok = chaos_service.sharded_guard.reconciles()
-            if not reconciliation_ok:
-                record_violation(
-                    f"seed {seed}: per-shard record accounting does not "
-                    "reconcile (accepted+transferred != "
-                    "drained+queued+shed+transferred_out+lost)"
-                )
-            clean_served = clean_unsharded.result.num_served
-            if clean_served > 0:
-                degradation_ok = (
-                    chaos_served * scfg.degradation_factor >= clean_served
-                )
-                if not degradation_ok:
-                    record_violation(
-                        f"seed {seed}: shard chaos served {chaos_served} < "
-                        f"{clean_served}/{scfg.degradation_factor:g}"
-                    )
-
-        verdict = ShardSeedVerdict(
-            seed=seed,
-            clean_served=clean_unsharded.result.num_served,
-            chaos_served=chaos_served,
-            equivalence_ok=equivalence_ok,
-            ticks_ok=ticks_ok,
-            no_escape=no_escape,
-            failover_budget_ok=failover_budget_ok,
-            reconciliation_ok=reconciliation_ok,
-            degradation_ok=degradation_ok,
-            violations=violations,
-            clean_summary=clean_sharded.summary(),
-            chaos_summary=chaos_summary,
-        )
-        logger.info(
-            "shard chaos seed %d: %s (%d violations)",
+    def chaos(
+        self, seed: int, reference: Any
+    ) -> tuple[ShardedDispatchService, ShardedServiceReport]:
+        world = self.world
+        service = self.sharded_service(
             seed,
-            "OK" if verdict.ok else "VIOLATED",
-            len(violations),
+            ShardFaultInjector(
+                get_shard_profile(self.config.profile),
+                world.t0_s,
+                world.t1_s,
+                seed=seed,
+            ),
         )
-        return verdict
+        return service, service.run()
 
-    def run(self, progress=None) -> dict[str, object]:
-        scfg = self.shard_config
-        verdicts = []
-        for seed in scfg.seeds:
-            if progress:
-                progress(
-                    f"shard chaos triple for seed {seed} under {scfg.profile!r}..."
-                )
-            verdicts.append(self.run_seed(seed))
+    def judge(
+        self,
+        verdict: SeedVerdict,
+        reference: tuple[ServiceReport, ShardedServiceReport],
+        outcome: tuple[ShardedDispatchService, ShardedServiceReport] | None,
+    ) -> None:
+        unsharded, sharded = reference
+        clean_served = unsharded.result.num_served
+        verdict.fields.update(
+            clean_served=clean_served,
+            chaos_served=0,
+            clean=sharded.summary(),
+            chaos={},
+        )
+        if outcome is None:
+            return
+        service, report = outcome
+        chaos_served = report.result.num_served
+        verdict.fields.update(chaos_served=chaos_served, chaos=report.summary())
+        verdict.check(
+            "ticks_ok",
+            report.all_ticks_completed,
+            f"shard chaos run skipped ticks "
+            f"({report.ticks_completed}/{report.ticks_expected})",
+        )
+        supervisor = service.supervisor
+        verdict.check(
+            "failover_budget_ok",
+            supervisor.within_failover_budget(),
+            f"keyspace went uncovered for {supervisor.max_uncovered_cycles()} "
+            f"cycles (budget {supervisor.config.failover_budget_cycles})",
+        )
+        verdict.check(
+            "reconciliation_ok",
+            service.sharded_guard.reconciles(),
+            "per-shard record accounting does not reconcile "
+            "(accepted+transferred != "
+            "drained+queued+shed+transferred_out+lost)",
+        )
+        check_served(
+            verdict,
+            self.config.degradation_factor,
+            clean_served,
+            chaos_served,
+            self.label,
+        )
+
+    def header(self, runs: list[dict[str, Any]]) -> dict[str, Any]:
+        cfg = self.config
         return {
-            "profile": scfg.profile,
-            "env_profile": scfg.env_profile,
-            "seeds": list(scfg.seeds),
-            "population_size": scfg.population_size,
-            "num_teams": scfg.num_teams,
-            "window_days": scfg.window_days,
-            "degradation_factor": scfg.degradation_factor,
-            "num_shards": scfg.sharding.num_shards,
-            "ok": all(v.ok for v in verdicts),
-            "violations": [m for v in verdicts for m in v.violations],
-            "runs": [v.as_json() for v in verdicts],
+            "population_size": cfg.population_size,
+            "num_teams": cfg.num_teams,
+            "window_days": cfg.window_days,
+            "degradation_factor": cfg.degradation_factor,
+            "num_shards": cfg.sharding.num_shards,
         }
 
-
-def run_shard_chaos(
-    config: ShardChaosConfig | None = None,
-    out_path: str | None = None,
-    progress=None,
-) -> dict[str, object]:
-    """Run a shard chaos campaign; optionally persist the report."""
-    report = ShardChaosHarness(config).run(progress=progress)
-    if out_path is not None:
-        atomic_write_json(out_path, report)
-    return report
+    @staticmethod
+    def describe(run: dict[str, Any]) -> str:
+        return (
+            f"clean served {run['clean_served']}, "
+            f"shard chaos served {run['chaos_served']}"
+        )

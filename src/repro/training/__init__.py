@@ -19,8 +19,6 @@ See docs/TRAINING_HEALTH.md.
 from repro.training.chaos import (
     TrainChaosConfig,
     TrainChaosHarness,
-    TrainSeedVerdict,
-    run_train_chaos,
 )
 from repro.training.health import (
     ANOMALY_KINDS,
@@ -53,11 +51,9 @@ __all__ = [
     "SentinelTrainingResult",
     "TrainChaosConfig",
     "TrainChaosHarness",
-    "TrainSeedVerdict",
     "TrainingAnomalyError",
     "TrainingSentinel",
     "replay_checksum",
-    "run_train_chaos",
     "sentinel_training",
     "supervised_sentinel_training",
 ]

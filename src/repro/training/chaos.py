@@ -24,16 +24,20 @@ The chaos run is then held to the harness invariants:
 
 from __future__ import annotations
 
+import contextlib
+import json
 import pathlib
 import tempfile
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any, ContextManager
 
 import numpy as np
 
-from repro.core.artifacts import atomic_write_json, verify_artifact_dir
+from repro.core.artifacts import verify_artifact_dir
+from repro.core.chaos import CampaignConfig, ChaosCampaign, SeedVerdict
 from repro.core.config import MobiRescueConfig
-from repro.core.training import TrainedMobiRescue, train_mobirescue
+from repro.core.training import train_mobirescue
 from repro.data import DatasetSpec, build_dataset
 from repro.data.charlotte import CharlotteScenario
 from repro.faults.models import TrainingFaultInjector
@@ -46,7 +50,6 @@ from repro.training.health import (
 )
 from repro.training.loop import (
     FORENSICS_FORMAT,
-    LadderConfig,
     SentinelTrainingResult,
     sentinel_training,
 )
@@ -63,8 +66,13 @@ DETECTION_MAP: dict[str, tuple[str, ...]] = {
 }
 
 
+#: The storm the campaign trains on, and its fleet's team capacity.
+STORM = "michael"
+TEAM_CAPACITY = 5
+
+
 @dataclass(frozen=True)
-class TrainChaosConfig:
+class TrainChaosConfig(CampaignConfig):
     """One training-chaos campaign."""
 
     profile: str = "train-severe"
@@ -72,68 +80,21 @@ class TrainChaosConfig:
     episodes: int = 3
     population_size: int = 300
     num_teams: int = 10
-    team_capacity: int = 5
-    storm: str = "michael"
     #: Mean chaos service rate must reach this fraction of baseline.
     recovery_floor: float = 0.5
     #: Persist run directories (checkpoints, journals, forensics) under
     #: this path instead of a throwaway tempdir — CI uploads them.
     work_dir: str | None = None
+    profile_lookups = (get_train_profile,)
 
     def __post_init__(self) -> None:
-        get_train_profile(self.profile)  # raises on unknown names
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        super().__post_init__()
         if self.episodes < 1:
             raise ValueError("episodes must be positive")
-        if self.population_size < 1 or self.num_teams < 1 or self.team_capacity < 1:
-            raise ValueError("population/teams/capacity must be positive")
+        if self.population_size < 1 or self.num_teams < 1:
+            raise ValueError("population/teams must be positive")
         if not (0.0 < self.recovery_floor <= 1.0):
             raise ValueError("recovery_floor must be in (0, 1]")
-
-
-@dataclass
-class TrainSeedVerdict:
-    """Everything the judge measured for one seed."""
-
-    seed: int
-    profile: str
-    clean_identical: bool = False
-    aborted: bool = False
-    forensics_complete: bool | None = None
-    applied: list[dict] = field(default_factory=list)
-    anomalies: list[dict] = field(default_factory=list)
-    recoveries: list[dict] = field(default_factory=list)
-    baseline_rates: list[float] = field(default_factory=list)
-    chaos_rates: list[float] = field(default_factory=list)
-    committed_checkpoints: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_json(self) -> dict:
-        kinds: dict[str, int] = {}
-        for a in self.anomalies:
-            kinds[str(a["kind"])] = kinds.get(str(a["kind"]), 0) + 1
-        return {
-            "seed": self.seed,
-            "profile": self.profile,
-            "ok": self.ok,
-            "clean_identical": self.clean_identical,
-            "aborted": self.aborted,
-            "forensics_complete": self.forensics_complete,
-            "applied": self.applied,
-            "applied_count": len(self.applied),
-            "anomalies": self.anomalies,
-            "anomaly_kinds": kinds,
-            "recoveries": self.recoveries,
-            "baseline_rates": self.baseline_rates,
-            "chaos_rates": self.chaos_rates,
-            "committed_checkpoints": self.committed_checkpoints,
-            "violations": self.violations,
-        }
 
 
 def _agent_states_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
@@ -153,34 +114,34 @@ def _matches(applied: dict, anomaly: dict) -> bool:
     )
 
 
-class TrainChaosHarness:
-    """Builds one small world, then judges each seed against it."""
+class TrainChaosHarness(ChaosCampaign[TrainChaosConfig]):
+    """The training plug-in: one small world, each seed judged against it."""
+
+    config_type = TrainChaosConfig
+    label = "training chaos"
+    invariants = ("clean_identical",)
 
     def __init__(
         self,
-        config: TrainChaosConfig,
+        config: TrainChaosConfig | None = None,
         dataset: tuple[CharlotteScenario, TraceBundle] | None = None,
     ) -> None:
-        self.config = config
+        super().__init__(config)
         if dataset is None:
             dataset = build_dataset(
-                DatasetSpec(storm=config.storm, population_size=config.population_size)
+                DatasetSpec(storm=STORM, population_size=self.config.population_size)
             )
         self.scenario, self.bundle = dataset
-        self.profile = get_train_profile(config.profile)
+        self.profile = get_train_profile(self.config.profile)
 
     # -- per-seed runs --------------------------------------------------------
 
-    def _baseline(self, seed: int) -> TrainedMobiRescue:
-        c = self.config
-        return train_mobirescue(
-            self.scenario,
-            self.bundle,
-            MobiRescueConfig(seed=seed),
-            episodes=c.episodes,
-            num_teams=c.num_teams,
-            team_capacity=c.team_capacity,
-        )
+    def workspace(self, seed: int) -> ContextManager[Any]:
+        if self.config.work_dir is None:
+            return tempfile.TemporaryDirectory(prefix="train-chaos-")
+        work = pathlib.Path(self.config.work_dir) / f"seed-{seed}"
+        work.mkdir(parents=True, exist_ok=True)
+        return contextlib.nullcontext(work)
 
     def _sentinel_run(
         self,
@@ -195,51 +156,88 @@ class TrainChaosHarness:
             MobiRescueConfig(seed=seed),
             episodes=c.episodes,
             num_teams=c.num_teams,
-            team_capacity=c.team_capacity,
+            team_capacity=TEAM_CAPACITY,
             checkpoint_dir=checkpoint_dir,
             # Nothing may be pruned away before the hygiene sweep judges it.
             keep_checkpoints=c.episodes + 2,
             injector=injector,
         )
 
+    def reference(self, verdict: SeedVerdict, work: str | pathlib.Path) -> pathlib.Path:
+        """The sentinel-off baseline and the fault-free sentinel run."""
+        c, seed, work = self.config, verdict.seed, pathlib.Path(work)
+        baseline = train_mobirescue(
+            self.scenario,
+            self.bundle,
+            MobiRescueConfig(seed=seed),
+            episodes=c.episodes,
+            num_teams=c.num_teams,
+            team_capacity=TEAM_CAPACITY,
+        )
+        verdict.fields["baseline_rates"] = list(baseline.episode_service_rates)
+        clean = self._sentinel_run(seed, work / "clean", injector=None)
+        if clean.trained is None:
+            verdict.check(
+                "clean_identical", False, "clean sentinel run did not produce a model"
+            )
+        else:
+            verdict.check(
+                "clean_identical",
+                _agent_states_equal(
+                    baseline.agent.get_state(), clean.trained.agent.get_state()
+                )
+                and baseline.episode_service_rates
+                == clean.trained.episode_service_rates,
+                "clean sentinel run diverged from sentinel-off baseline",
+            )
+        if clean.anomalies:
+            verdict.violate(f"clean run raised {len(clean.anomalies)} false anomalies")
+        return work / "chaos"
+
+    def chaos(self, seed: int, chaos_dir: pathlib.Path) -> SentinelTrainingResult:
+        injector = TrainingFaultInjector(self.profile, seed=seed)
+        return self._sentinel_run(seed, chaos_dir, injector=injector)
+
     # -- invariants -----------------------------------------------------------
 
-    def _check_detection(self, verdict: TrainSeedVerdict) -> None:
-        for applied in verdict.applied:
-            if not any(_matches(applied, a) for a in verdict.anomalies):
-                verdict.violations.append(
+    def _check_detection(
+        self, verdict: SeedVerdict, chaos: SentinelTrainingResult
+    ) -> None:
+        for applied in chaos.applied:
+            if not any(_matches(applied, a) for a in chaos.anomalies):
+                verdict.violate(
                     f"undetected fault: {applied['kind']} at episode "
                     f"{applied['episode']} attempt {applied['attempt']}"
                 )
 
-    def _check_recovery_floor(self, verdict: TrainSeedVerdict) -> None:
+    def _check_recovery_floor(self, verdict: SeedVerdict) -> None:
         floor = self.config.recovery_floor
-        base = float(np.mean(verdict.baseline_rates)) if verdict.baseline_rates else 0.0
+        baseline_rates = verdict.fields["baseline_rates"]
+        chaos_rates = verdict.fields["chaos_rates"]
+        base = float(np.mean(baseline_rates)) if baseline_rates else 0.0
         if base <= 0.0:
             return
-        chaos = float(np.mean(verdict.chaos_rates)) if verdict.chaos_rates else 0.0
+        chaos = float(np.mean(chaos_rates)) if chaos_rates else 0.0
         if chaos < floor * base:
-            verdict.violations.append(
+            verdict.violate(
                 f"recovered service rate {chaos:.3f} below floor "
                 f"{floor:.2f} x baseline {base:.3f}"
             )
 
     def _check_checkpoint_hygiene(
-        self, verdict: TrainSeedVerdict, checkpoint_dir: pathlib.Path
+        self, verdict: SeedVerdict, checkpoint_dir: pathlib.Path
     ) -> None:
         """Every *surviving* checkpoint must load and pass full screens."""
         from repro.core import persistence
         from repro.core.rl_dispatcher import make_agent
 
         paths = persistence.list_checkpoints(checkpoint_dir)
-        verdict.committed_checkpoints = len(paths)
+        verdict.fields["committed_checkpoints"] = len(paths)
         for path in paths:
             try:
                 checkpoint = persistence.load_checkpoint(path)
             except Exception as exc:  # repro: allow-broad-except -- any load failure is a violation
-                verdict.violations.append(
-                    f"committed checkpoint {path.name} does not load: {exc}"
-                )
+                verdict.violate(f"committed checkpoint {path.name} does not load: {exc}")
                 continue
             agent = make_agent(checkpoint.config)
             agent.set_state(checkpoint.agent_state)
@@ -249,139 +247,84 @@ class TrainChaosHarness:
             probe.screen_replay(agent.buffer)
             leaked = probe.drain()
             for anomaly in leaked:
-                verdict.violations.append(
+                verdict.violate(
                     f"anomaly escaped into {path.name}: {anomaly.kind} "
                     f"({anomaly.detail})"
                 )
 
     def _check_forensics(
-        self, verdict: TrainSeedVerdict, result: SentinelTrainingResult
+        self, verdict: SeedVerdict, result: SentinelTrainingResult
     ) -> None:
+        verdict.fields["forensics_complete"] = False
         path = result.forensics_path
         if path is None:
-            verdict.forensics_complete = False
-            verdict.violations.append("aborted without a forensics bundle")
+            verdict.violate("aborted without a forensics bundle")
             return
         try:
             verify_artifact_dir(path)
         except Exception as exc:  # repro: allow-broad-except -- any defect fails the bundle
-            verdict.forensics_complete = False
-            verdict.violations.append(f"forensics bundle incomplete: {exc}")
+            verdict.violate(f"forensics bundle incomplete: {exc}")
             return
-        import json
-
         with open(path / "incidents.json", encoding="utf-8") as fh:
             payload = json.load(fh)
         agent_state_ok = (path / "agent_state.npz").exists()
         if payload.get("format") != FORENSICS_FORMAT or not agent_state_ok:
-            verdict.forensics_complete = False
-            verdict.violations.append("forensics bundle malformed")
+            verdict.violate("forensics bundle malformed")
             return
-        verdict.forensics_complete = True
+        verdict.fields["forensics_complete"] = True
 
     # -- the judge ------------------------------------------------------------
 
-    def _judge(self, seed: int, work: pathlib.Path) -> TrainSeedVerdict:
-        c = self.config
-        verdict = TrainSeedVerdict(seed=seed, profile=c.profile)
-        expect_abort = self.profile.nan_gradient.persistent
-
-        baseline = self._baseline(seed)
-        verdict.baseline_rates = list(baseline.episode_service_rates)
-
-        clean = self._sentinel_run(seed, work / "clean", injector=None)
-        if clean.trained is None:
-            verdict.violations.append("clean sentinel run did not produce a model")
-        else:
-            verdict.clean_identical = _agent_states_equal(
-                baseline.agent.get_state(), clean.trained.agent.get_state()
-            ) and (
-                baseline.episode_service_rates
-                == clean.trained.episode_service_rates
-            )
-            if not verdict.clean_identical:
-                verdict.violations.append(
-                    "clean sentinel run diverged from sentinel-off baseline"
-                )
-        if clean.anomalies:
-            verdict.violations.append(
-                f"clean run raised {len(clean.anomalies)} false anomalies"
-            )
-
-        injector = TrainingFaultInjector(self.profile, seed=seed)
-        chaos_dir = work / "chaos"
-        chaos = self._sentinel_run(seed, chaos_dir, injector=injector)
-        verdict.aborted = chaos.aborted
-        verdict.applied = list(chaos.applied)
-        verdict.anomalies = list(chaos.anomalies)
-        verdict.recoveries = list(chaos.recoveries)
-        if chaos.trained is not None:
-            verdict.chaos_rates = list(chaos.trained.episode_service_rates)
-
-        self._check_detection(verdict)
+    def judge(
+        self,
+        verdict: SeedVerdict,
+        chaos_dir: pathlib.Path,
+        chaos: SentinelTrainingResult | None,
+    ) -> None:
+        applied = list(chaos.applied) if chaos else []
+        anomalies = list(chaos.anomalies) if chaos else []
+        trained = chaos.trained if chaos else None
+        verdict.fields.update(
+            profile=self.config.profile,
+            aborted=bool(chaos and chaos.aborted),
+            forensics_complete=None,
+            applied=applied,
+            applied_count=len(applied),
+            anomalies=anomalies,
+            anomaly_kinds=dict(Counter(str(a["kind"]) for a in anomalies)),
+            recoveries=list(chaos.recoveries) if chaos else [],
+            chaos_rates=list(trained.episode_service_rates) if trained else [],
+            committed_checkpoints=0,
+        )
+        if chaos is None:
+            return
+        self._check_detection(verdict, chaos)
         self._check_checkpoint_hygiene(verdict, chaos_dir)
-        if expect_abort:
+        if self.profile.nan_gradient.persistent:
             if not chaos.aborted:
-                verdict.violations.append(
-                    "persistent-fault profile completed instead of aborting"
-                )
+                verdict.violate("persistent-fault profile completed instead of aborting")
             self._check_forensics(verdict, chaos)
+        elif chaos.aborted:
+            verdict.violate("transient-fault profile aborted")
         else:
-            if chaos.aborted:
-                verdict.violations.append("transient-fault profile aborted")
-            else:
-                self._check_recovery_floor(verdict)
-        return verdict
+            self._check_recovery_floor(verdict)
 
-    def run(self, progress: Callable[[str], None] | None = None) -> dict:
-        say = progress or (lambda _msg: None)
+    def header(self, runs: list[dict[str, Any]]) -> dict[str, Any]:
         c = self.config
-        verdicts = []
-        for seed in c.seeds:
-            say(f"seed {seed}: baseline + clean + {c.profile} chaos "
-                f"({c.episodes} episodes)")
-            if c.work_dir is not None:
-                work = pathlib.Path(c.work_dir) / f"seed-{seed}"
-                work.mkdir(parents=True, exist_ok=True)
-                verdict = self._judge(seed, work)
-            else:
-                with tempfile.TemporaryDirectory(prefix="train-chaos-") as tmp:
-                    verdict = self._judge(seed, pathlib.Path(tmp))
-            state = "ok" if verdict.ok else f"VIOLATIONS: {verdict.violations}"
-            say(
-                f"seed {seed}: {len(verdict.applied)} faults applied, "
-                f"{len(verdict.anomalies)} anomalies, "
-                f"{len(verdict.recoveries)} recoveries, {state}"
-            )
-            verdicts.append(verdict)
-        violations = [
-            f"seed {v.seed}: {violation}"
-            for v in verdicts
-            for violation in v.violations
-        ]
         return {
-            "profile": c.profile,
-            "seeds": list(c.seeds),
             "episodes": c.episodes,
             "population_size": c.population_size,
             "num_teams": c.num_teams,
             "recovery_floor": c.recovery_floor,
-            "applied_total": sum(len(v.applied) for v in verdicts),
-            "anomaly_total": sum(len(v.anomalies) for v in verdicts),
-            "ok": not violations,
-            "violations": violations,
-            "runs": [v.as_json() for v in verdicts],
+            "applied_total": sum(run["applied_count"] for run in runs),
+            "anomaly_total": sum(len(run["anomalies"]) for run in runs),
         }
 
-
-def run_train_chaos(
-    config: TrainChaosConfig,
-    out_path: str | pathlib.Path | None = None,
-    progress: Callable[[str], None] | None = None,
-    dataset: tuple[CharlotteScenario, TraceBundle] | None = None,
-) -> dict:
-    """Run a training-chaos campaign; optionally persist the report."""
-    report = TrainChaosHarness(config, dataset=dataset).run(progress)
-    if out_path is not None:
-        atomic_write_json(out_path, report)
-    return report
+    @staticmethod
+    def describe(run: dict[str, Any]) -> str:
+        return (
+            f"{run['applied_count']} faults applied, "
+            f"{len(run['anomalies'])} anomalies, "
+            f"{len(run['recoveries'])} recoveries"
+            f"{', ABORTED' if run['aborted'] else ''}"
+        )

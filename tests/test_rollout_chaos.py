@@ -3,8 +3,8 @@
 One small Florence eval world is built per module; the harness runs real
 parallel campaigns against it with the ``worker-kill`` profile and the
 tests assert the four invariants the CI gate relies on.  The CLI routing
-tests monkeypatch the campaign runner so they exercise exit codes and
-report plumbing without rebuilding the world.
+tests swap in a harness that skips the world build and returns canned
+verdicts, so they exercise exit codes and report plumbing cheaply.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.chaos import SeedVerdict
 from repro.faults import WorkerFaultInjector, get_worker_profile
-from repro.rollouts.chaos import (
-    RolloutChaosConfig,
-    RolloutChaosHarness,
-    _expects_kills,
-)
+from repro.rollouts.chaos import RolloutChaosConfig, RolloutChaosHarness
 
 CONFIG = RolloutChaosConfig(
     profile="worker-kill",
@@ -61,7 +58,7 @@ class TestWorkerKillInvariants:
             get_worker_profile("worker-kill"), seed=CONFIG.seeds[0]
         )
         episode_ids = [s.episode_id for s in harness.specs]
-        assert _expects_kills(injector, episode_ids, budget=4)
+        assert injector.schedules_kills(episode_ids, 4)
         [run] = report["runs"]
         assert run["chaos_bit_ok"]
         assert run["worker_deaths"] > 0
@@ -119,33 +116,30 @@ class TestChaosConfigValidation:
 
 
 class TestChaosCli:
-    def fake_report(self, ok=True):
-        return {
-            "profile": "worker-kill",
-            "seeds": [0],
-            "episodes": 4,
-            "num_workers": 2,
-            "serial_fingerprint": "cafe" * 16,
-            "ok": ok,
-            "violations": [] if ok else ["seed 0: 1 episodes lost"],
-            "runs": [
-                {
-                    "seed": 0,
-                    "ok": ok,
-                    "worker_deaths": 3,
-                    "quarantined_ids": [2],
-                }
-            ],
-        }
-
-    def test_worker_profiles_route_to_rollout_harness(self, monkeypatch, capsys):
+    def fake_harness(self, monkeypatch, ok=True):
+        """Route worker profiles to a harness with canned verdicts."""
         seen = {}
 
-        def runner(config, out_path=None, progress=None):
-            seen["config"] = config
-            return self.fake_report()
+        class FakeHarness(RolloutChaosHarness):
+            def __init__(self, config):
+                seen["config"] = self.config = config  # no world build
 
-        monkeypatch.setattr("repro.rollouts.chaos.run_rollout_chaos", runner)
+            def run_seed(self, seed):
+                verdict = SeedVerdict(
+                    seed, fields={"worker_deaths": 3, "quarantined_ids": [2]}
+                )
+                if not ok:
+                    verdict.violate("1 episodes lost")
+                return verdict
+
+            def header(self, runs):
+                return {"serial_fingerprint": "cafe" * 16}
+
+        monkeypatch.setattr("repro.rollouts.chaos.RolloutChaosHarness", FakeHarness)
+        return seen
+
+    def test_worker_profiles_route_to_rollout_harness(self, monkeypatch, capsys):
+        seen = self.fake_harness(monkeypatch)
         assert main(["chaos", "--profile", "worker-kill", "--quick",
                      "--seeds", "0"]) == 0
         assert seen["config"].profile == "worker-kill"
@@ -156,23 +150,13 @@ class TestChaosCli:
         assert "all worker chaos invariants held" in out
 
     def test_violations_fail_the_gate(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            "repro.rollouts.chaos.run_rollout_chaos",
-            lambda config, out_path=None, progress=None: self.fake_report(ok=False),
-        )
+        self.fake_harness(monkeypatch, ok=False)
         assert main(["chaos", "--profile", "worker-kill", "--quick"]) == 1
         assert "VIOLATION" in capsys.readouterr().err
 
     def test_report_artifact_is_written(self, monkeypatch, tmp_path, capsys):
         out = tmp_path / "worker-chaos.json"
-
-        def runner(config, out_path=None, progress=None):
-            report = self.fake_report()
-            if out_path:
-                out.write_text(json.dumps(report))
-            return report
-
-        monkeypatch.setattr("repro.rollouts.chaos.run_rollout_chaos", runner)
+        self.fake_harness(monkeypatch)
         assert main(["chaos", "--profile", "worker-kill", "--quick",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["ok"] is True

@@ -265,9 +265,9 @@ def chaos_verdict():
 class TestGoldenEquivalence:
     def test_clean_service_run_is_bit_identical(self, chaos_verdict):
         verdict, _ = chaos_verdict
-        assert verdict.equivalence_ok, verdict.violations
+        assert verdict.checks["equivalence_ok"], verdict.violations
         # Clean run: guards wired but completely silent.
-        clean = verdict.clean_summary
+        clean = verdict.fields["clean"]
         assert clean["service_incidents"] == 0
         assert clean["policy_fallback_cycles"] == 0
         assert clean["predictor_fallback_serves"] == 0
@@ -275,7 +275,7 @@ class TestGoldenEquivalence:
 
     def test_clean_run_completed_every_tick(self, chaos_verdict):
         verdict, _ = chaos_verdict
-        clean = verdict.clean_summary
+        clean = verdict.fields["clean"]
         assert clean["ticks_completed"] == clean["ticks_expected"] > 0
 
 
@@ -286,14 +286,14 @@ class TestChaosInvariants:
 
     def test_no_tick_skipped_under_chaos(self, chaos_verdict):
         verdict, _ = chaos_verdict
-        assert verdict.ticks_ok
-        chaos = verdict.chaos_summary
+        assert verdict.checks["ticks_ok"]
+        chaos = verdict.fields["chaos"]
         assert chaos["ticks_completed"] == chaos["ticks_expected"]
 
     def test_faults_actually_fired(self, chaos_verdict):
         """A chaos run that injected nothing proves nothing."""
         verdict, _ = chaos_verdict
-        chaos = verdict.chaos_summary
+        chaos = verdict.fields["chaos"]
         assert chaos["service_incidents"] > 0
         assert chaos["ingest"]["rejected_total"] > 0
         # Every injected corruption mode must have been caught at ingest.
@@ -308,9 +308,9 @@ class TestChaosInvariants:
 
     def test_expected_ticks_matches_engine_loop(self, chaos_verdict):
         verdict, harness = chaos_verdict
-        service = harness._service(0, with_faults=False)
+        service = harness.world.service(0)
         # One serving sample is recorded per dispatch cycle: the replayed
         # loop arithmetic must agree with what the engine actually did.
         expected = service.expected_ticks()
-        assert expected == verdict.clean_summary["ticks_expected"]
-        assert expected == verdict.clean_summary["ticks_completed"]
+        assert expected == verdict.fields["clean"]["ticks_expected"]
+        assert expected == verdict.fields["clean"]["ticks_completed"]

@@ -107,6 +107,26 @@ class TestExtract:
         assert report["breakers"]["predictor"]["state"] == "open"
         assert report["incident_kinds"] == {"shard_failover": 3}
 
+    def test_from_worker_campaign(self):
+        """A worker report's supervision incidents reach the report."""
+        incidents = [
+            {"kind": "worker_death", "message": "worker process exited (code 17)",
+             "t_s": 1.0 + i, "episode_id": 0, "worker_id": i}
+            for i in range(4)
+        ] + [{"kind": "quarantine", "message": "killed its worker 2 times",
+              "t_s": 5.0, "episode_id": 0, "worker_id": None}]
+        campaign = {
+            "profile": "worker-kill",
+            "runs": [{"worker_deaths": 4, "chaos": {"incidents": incidents}}],
+        }
+        report = extract_service_report(campaign)
+        assert report["source"] == "chaos:worker-kill"
+        assert report["incidents"] == incidents
+        assert report["incident_kinds"] == {"quarantine": 1, "worker_death": 4}
+        assert "incidents: quarantine=1, worker_death=4" in format_service_report(
+            report
+        )
+
     def test_chaos_run_falls_back_to_clean_summary(self):
         campaign = chaos_campaign()
         run = campaign["runs"][0]

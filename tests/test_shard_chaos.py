@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.service.chaos import results_bit_identical
 from repro.service.sharding import (
     ShardChaosConfig,
     ShardChaosHarness,
@@ -40,18 +39,18 @@ def shard_verdict():
 class TestCleanShardedEquivalence:
     def test_clean_sharded_run_is_bit_identical_to_unsharded(self, shard_verdict):
         verdict, _ = shard_verdict
-        assert verdict.equivalence_ok, verdict.violations
+        assert verdict.checks["equivalence_ok"], verdict.violations
 
     def test_equivalence_holds_on_a_fresh_pair(self, shard_verdict):
         """Belt and braces: rebuild both services and compare directly."""
         _, harness = shard_verdict
-        unsharded = harness._service(0, with_faults=False).run()
-        sharded = harness._sharded_service(0, with_shard_faults=False).run()
-        assert results_bit_identical(unsharded.result, sharded.result)
+        unsharded = harness.world.service(0).run()
+        sharded = harness.sharded_service(0).run()
+        assert unsharded.result == sharded.result
 
     def test_clean_sharded_run_is_silent(self, shard_verdict):
         verdict, _ = shard_verdict
-        clean = verdict.clean_summary
+        clean = verdict.fields["clean"]
         assert clean["ticks_completed"] == clean["ticks_expected"] > 0
         assert clean["ingest"]["rejected_total"] == 0
         assert clean["ingest"]["lost"] == 0
@@ -65,20 +64,20 @@ class TestShardChaosInvariants:
 
     def test_no_tick_skipped_despite_shard_deaths(self, shard_verdict):
         verdict, _ = shard_verdict
-        assert verdict.ticks_ok
-        chaos = verdict.chaos_summary
+        assert verdict.checks["ticks_ok"]
+        chaos = verdict.fields["chaos"]
         assert chaos["ticks_completed"] == chaos["ticks_expected"]
 
     def test_shard_faults_actually_fired(self, shard_verdict):
         """A chaos run that killed nothing proves nothing."""
         verdict, _ = shard_verdict
-        supervisor = verdict.chaos_summary["supervisor"]
+        supervisor = verdict.fields["chaos"]["supervisor"]
         assert supervisor["failovers"], "no shard ever failed over"
 
     def test_failover_stayed_within_budget(self, shard_verdict):
         verdict, _ = shard_verdict
-        assert verdict.failover_budget_ok
-        supervisor = verdict.chaos_summary["supervisor"]
+        assert verdict.checks["failover_budget_ok"]
+        supervisor = verdict.fields["chaos"]["supervisor"]
         assert (
             supervisor["max_uncovered_cycles"]
             <= supervisor["failover_budget_cycles"]
@@ -86,7 +85,7 @@ class TestShardChaosInvariants:
 
     def test_ledger_reconciles_under_chaos(self, shard_verdict):
         verdict, _ = shard_verdict
-        assert verdict.reconciliation_ok
+        assert verdict.checks["reconciliation_ok"]
 
     def test_report_is_json_ready(self, shard_verdict):
         verdict, _ = shard_verdict
