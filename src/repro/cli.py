@@ -225,11 +225,10 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     from repro.core import MobiRescueSystem, save_trained
+    from repro.core.chaos import eval_window
     from repro.sim import SimulationConfig
     from repro.sim.kernel import build_simulator, set_event_kernel_enabled
     from repro.sim.metrics import SimulationMetrics
-    from repro.sim.requests import remap_to_operable, requests_from_rescues
-    from repro.weather.storms import SECONDS_PER_DAY, day_index
 
     set_event_kernel_enabled(args.engine == "event")
 
@@ -241,12 +240,7 @@ def cmd_simulate(args) -> int:
         print(f"saved trained models to {args.save}")
 
     eval_scen, eval_bundle = florence
-    day = day_index(eval_scen.timeline, "Sep 16")
-    t0, t1 = day * SECONDS_PER_DAY, (day + 1) * SECONDS_PER_DAY
-    requests = remap_to_operable(
-        requests_from_rescues(eval_bundle.rescues, t0, t1),
-        eval_scen.network, eval_scen.flood,
-    )
+    t0, t1, requests = eval_window(eval_scen, eval_bundle, 1)
     dispatcher = system.deploy(eval_scen, eval_bundle)
     sim = build_simulator(
         eval_scen, requests, dispatcher,

@@ -14,6 +14,7 @@ serves both the Florence evaluation storm and the Michael training storm.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,34 @@ SeverityFn = Callable[[int, float], float]
 #: Waterlines a flood model remembers; past this many (region, t) entries
 #: the oldest one is dropped.
 WATERLINE_MEMO_SIZE = 8_192
+
+
+def sorted_quantile(values: np.ndarray, q: float) -> float:
+    """``float(np.quantile(values, q))`` for finite ascending ``values``.
+
+    numpy's default ``linear`` method read off the two neighbours of the
+    virtual index ``(n - 1) * q``, with its own interpolation arithmetic,
+    so the result is bit-identical without numpy's copy and partition.
+    """
+    if not 0.0 <= q <= 1.0:  # NaN fails too, as in np.quantile
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    last = len(values) - 1
+    virtual = last * q
+    if virtual >= last:
+        # numpy clamps both neighbours to index -1, and its gamma becomes
+        # virtual - (-1).
+        lo = hi = last
+        gamma = virtual + 1
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+        gamma = virtual - lo
+    a = float(values[lo])
+    b = float(values[hi])
+    d = b - a
+    if gamma >= 0.5:
+        return b - d * (1 - gamma)
+    return a + d * gamma
 
 
 class FloodModel:
@@ -95,7 +124,7 @@ class FloodModel:
             waterline = float(alts[0]) - 1.0
         else:
             frac = self.max_flood_fraction * severity
-            waterline = float(np.quantile(alts, frac))
+            waterline = sorted_quantile(alts, frac)
         if len(memo) >= WATERLINE_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[key] = waterline

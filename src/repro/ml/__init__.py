@@ -18,12 +18,11 @@ from repro.ml.metrics import (
     precision,
     recall,
 )
-from repro.ml.nn import MLP, AdamState
+from repro.ml.nn import MLP
 from repro.ml.replay import ReplayBuffer, Transition
 from repro.ml.dqn import DQNAgent, DQNConfig
 
 __all__ = [
-    "AdamState",
     "ClassificationCounts",
     "DQNAgent",
     "DQNConfig",

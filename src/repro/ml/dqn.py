@@ -85,7 +85,7 @@ class DQNAgent:
         if not greedy and self.rng.random() < self.epsilon:
             choices = np.nonzero(valid_actions)[0]
             return int(self.rng.choice(choices))
-        q = self.q_values(state).copy()
+        q = self.q_values(state)  # a fresh row: safe to mask in place
         q[~valid_actions] = -np.inf
         return int(np.argmax(q))
 
@@ -106,12 +106,15 @@ class DQNAgent:
         q_next = self.target_net.forward(next_states).max(axis=1)
         targets_a = rewards + cfg.gamma * q_next * (~dones)
 
-        target = self.q_net.forward(states).copy()
+        # One forward pass serves both the TD target (the current Q-values
+        # with the taken actions' entries replaced) and the backward pass.
+        activations = self.q_net._forward_cached(states)
+        target = activations[-1].copy()
         mask = np.zeros_like(target)
         rows = np.arange(cfg.batch_size)
         target[rows, actions] = targets_a
         mask[rows, actions] = 1.0
-        loss = self.q_net.train_step(states, target, output_mask=mask)
+        loss = self.q_net._train_on(activations, target, mask)
 
         self.learn_steps += 1
         self.epsilon = max(cfg.epsilon_end, self.epsilon * cfg.epsilon_decay)

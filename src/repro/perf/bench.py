@@ -204,7 +204,6 @@ def _bench_full_tick(quick: bool) -> dict[str, Any]:
 
     expected = run(seed_sim(DirectRouter(network)))
     seed_s = _best_of(lambda: run(seed_sim(DirectRouter(network))), 1)
-    cached_s = _best_of(lambda: run(seed_sim(RoutingCache(network))), 1)
     if run(seed_sim(RoutingCache(network))) != expected:
         raise AssertionError("cached full-tick run diverged from seed run")
 
@@ -213,7 +212,13 @@ def _bench_full_tick(quick: bool) -> dict[str, Any]:
             scenario, list(requests), NearestDispatcher(), config
         )
 
-    event_s = _best_of(lambda: run(kernel_sim()), 2 if quick else 3)
+    # The event_kernel gate is the cached/event ratio.  The two engines
+    # alternate inside one loop, best-of-N on both sides, so a burst of
+    # load on the host hits both sides rather than one lone run.
+    cached_s = event_s = float("inf")
+    for _ in range(2 if quick else 3):
+        cached_s = min(cached_s, _best_of(lambda: run(seed_sim(RoutingCache(network))), 1))
+        event_s = min(event_s, _best_of(lambda: run(kernel_sim()), 1))
     kernel = kernel_sim()
     if run(kernel) != expected:
         raise AssertionError("event-kernel run diverged from seed run")

@@ -352,6 +352,13 @@ class TrainingSentinel:
         """Full Q-network parameter scan (online net; the target net is a
         periodic copy of it, so screening the source suffices)."""
         c = self.config
+        # One |·| peak over the flat weight vector settles the common,
+        # healthy case; only a failing scan pays for the per-tensor pass
+        # that names the offender.  A NaN poisons both reductions.
+        flat = agent.q_net.flat_weights
+        peak = max(float(flat.max()), -float(flat.min()))
+        if math.isfinite(peak) and peak <= c.param_bound:
+            return
         for i, layer in enumerate(agent.q_net.layers):
             for tag, arr in (("w", layer.w), ("b", layer.b)):
                 # |·| peak without the np.abs temporary; a NaN poisons

@@ -10,7 +10,9 @@ replaced, kept here as the reference:
 * ``TerrainField.altitude_many`` over a concatenation against the
   concatenated per-block results, which is what makes the batching exact;
 * ``RegionProfile.severity`` and ``FloodModel.waterline_m`` against their
-  ``np.clip`` forms, NaN included.
+  ``np.clip`` forms, NaN included;
+* ``sorted_quantile``, the waterline's read of a sorted region sample,
+  against ``np.quantile``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.geo.flood import FloodModel
+from repro.geo.flood import FloodModel, sorted_quantile
 from repro.geo.regions import (
     CHARLOTTE_REGION_PROFILES,
     RegionProfile,
@@ -339,3 +341,55 @@ class TestScalarClip:
         else:
             ref = float(np.quantile(alts, flood.max_flood_fraction * severity))
         assert bits(flood.waterline_m(3, 0.0)) == bits(ref)
+
+
+# -- waterline quantile ---------------------------------------------------------
+
+#: Sample values: finite floats over a wide range, or a few small integers
+#: so that ties are common.  Signed zeros compare equal, so np.quantile's
+#: partition may leave either one at a given index; values are normalised
+#: to +0.0 (a terrain altitude is never -0.0).
+QUANTILE_VALUES = st.one_of(
+    st.floats(-1e12, 1e12, allow_nan=False, width=64),
+    st.integers(-3, 3).map(float),
+).map(lambda v: v + 0.0)
+
+QUANTILE_QS = st.one_of(
+    st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0)), 0.5, 5e-324, 0.3]),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestSortedQuantile:
+    @settings(max_examples=600, deadline=None)
+    @given(values=st.lists(QUANTILE_VALUES, min_size=1, max_size=1_200), q=QUANTILE_QS)
+    def test_matches_np_quantile(self, values, q):
+        alts = np.sort(np.array(values))
+        assert bits(sorted_quantile(alts, q)) == bits(float(np.quantile(alts, q)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=QUANTILE_VALUES, q=QUANTILE_QS)
+    def test_one_sample(self, value, q):
+        alts = np.array([value])
+        assert bits(sorted_quantile(alts, q)) == bits(float(np.quantile(alts, q)))
+
+    @pytest.mark.parametrize("q", [0.0, 0.25, float(np.nextafter(1.0, 0.0)), 1.0])
+    def test_all_ties(self, q):
+        alts = np.full(900, 212.5)
+        assert bits(sorted_quantile(alts, q)) == bits(float(np.quantile(alts, q)))
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5, float("nan"), -float("inf")])
+    def test_out_of_range_rejected_like_numpy(self, q):
+        alts = np.arange(5.0)
+        with pytest.raises(ValueError):
+            np.quantile(alts, q)
+        with pytest.raises(ValueError):
+            sorted_quantile(alts, q)
+
+    def test_region_samples(self):
+        flood = FloodModel(
+            TerrainField(charlotte_regions(30_000.0, 25_000.0)), lambda r, t: 1.0
+        )
+        for alts in flood._region_alt_samples.values():
+            for q in np.linspace(0.0, 1.0, 101):
+                assert bits(sorted_quantile(alts, q)) == bits(float(np.quantile(alts, q)))
